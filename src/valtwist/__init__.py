@@ -14,14 +14,11 @@ from .graded import (
     HomogeneousElement,
     HZERO,
     constant_lift,
-    g_add,
-    g_mul,
     h_add,
     h_mul,
     in_v,
     psi,
     psi_inverse,
-    render_graded,
 )
 from .mpoly import (
     Monomial,
@@ -32,17 +29,16 @@ from .mpoly import (
     parse_rational_function,
     rf_nth_root,
 )
-from .ordgroup import FgSubgroup, GroupElement, cmp, rationally_independent
+from .ordgroup import FgSubgroup, GroupElement, rationally_independent
 from .constructions import (
     AnalyzerReport,
-    ExtensionChoice,
+    ExtensionStep,
     PowerCheck,
     SubgroupWithChoice,
     analyze_counterexample,
     counterexample_valuation,
     extend_choice,
     forced_power_check,
-    free_choice,
     free_pair,
     make_initial,
     monomial_pool,
@@ -57,7 +53,6 @@ from .twist import (
     is_trivial,
     semigroup_hom_check,
     twisted_mul,
-    twisting,
 )
 from .valuation import MonomialValuation, ResidueElement
 

@@ -156,13 +156,13 @@ def cmd_build(setup: SetupFile, seed: int, bound: int, machine: bool):
                             ("gamma", gamma),
                             ("n0", step.n0 if step.n0 is not None else "-"),
                             ("root", step.root_witness if step.root_witness is not None else "-"),
-                            ("factor", pair.choice.factor),
+                            ("factor", step.factor),
                         ],
                     )
                 )
             else:
                 lines.append(f"step {i}: extend by {gamma}")
-                lines.extend("  " + l for l in pair.choice.describe())
+                lines.extend("  " + l for l in step.describe())
     trivial, failing = is_trivial(pair.choice, bound)
     hom = semigroup_hom_check(pair.choice, bound)
     ok = trivial and hom

@@ -1,10 +1,11 @@
 """Constructive trivialization of twistings, and the finite-prime analyzer.
 
-Two constructions produce certified-trivial choice functions:
+Both constructions produce one kind of certified-trivial choice function,
+the chain :class:`GeneratorChoice`: free generators, then radical steps.
 
-* :func:`free_choice` — on a free subgroup with independent generators,
-  sending sum(n_i * g_i) to prod(z_i ** n_i) is exactly multiplicative, so
-  its twisting is identically 1.
+* :func:`free_pair` — a chain of no steps: on a free subgroup with
+  independent generators, sending sum(n_i * g_i) to prod(z_i ** n_i) is
+  exactly multiplicative, so its twisting is identically 1.
 * :func:`extend_choice` — one closed-by-radicals step.  Given a certified
   pair (Phi, eps) and a new degree g outside Phi with witness x_g, either
   no positive multiple of g lies in Phi (then eps extends by
@@ -12,7 +13,8 @@ Two constructions produce certified-trivial choice functions:
   does, and an exact n0-th root a of eps(n0*g)/x_g**n0 — produced by the
   radical oracle, else :class:`RootNotFound` — makes
   eps(a + n*g) = eps(a) * (a*x_g)**n with the canonical exponent
-  0 <= n < n0 exactly multiplicative again.
+  0 <= n < n0 exactly multiplicative again.  The result is the base chain
+  with one more step.
 
 The analyzer mechanizes the finite-prime part of the degree obstruction:
 with weights v(x_p) = 1/p, any choice function must satisfy the forced
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, RootNotFound, SetupError
+from .errors import RootNotFound, SetupError
 from .mpoly import (
     Monomial,
     Polynomial,
@@ -37,14 +39,12 @@ from .mpoly import (
     rf_nth_root,
 )
 from .ordgroup import FgSubgroup, GroupElement
-from .twist import ChoiceFunction, GeneratorChoice, TableChoice, _subgroup_elements
+from .twist import ChoiceFunction, ExtensionStep, GeneratorChoice, TableChoice
 from .valuation import MonomialValuation
 
 __all__ = [
     "SubgroupWithChoice",
-    "ExtensionChoice",
     "ExtensionStep",
-    "free_choice",
     "free_pair",
     "extend_choice",
     "make_initial",
@@ -66,110 +66,22 @@ class SubgroupWithChoice:
     certified_trivial: bool
 
 
-def free_choice(valuation: MonomialValuation, generators, witnesses) -> GeneratorChoice:
-    """Choice function on the free subgroup spanned by independent degrees."""
-    return GeneratorChoice(valuation, generators, witnesses)
-
-
 def free_pair(valuation: MonomialValuation, generators, witnesses) -> SubgroupWithChoice:
-    eps = free_choice(valuation, generators, witnesses)
+    """The certified pair of a free choice: a chain with no radical steps."""
+    eps = GeneratorChoice(valuation, generators, witnesses)
     return SubgroupWithChoice(eps.subgroup, eps, certified_trivial=True)
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
-    """What one extension step actually did, for reports."""
+def extend_choice(base: SubgroupWithChoice, gamma, x_gamma) -> SubgroupWithChoice:
+    """One radical step: the base chain plus one :class:`ExtensionStep`.
 
-    gamma: GroupElement
-    x_gamma: RationalFunction
-    n0: int | None
-    x0: RationalFunction | None
-    root_class: str | None
-    root_witness: RationalFunction | None
-
-
-class ExtensionChoice(ChoiceFunction):
-    """Choice function on Phi + Z*gamma extending a certified base.
-
-    Every member decomposes canonically as alpha + n*gamma with alpha in
-    Phi and 0 <= n < n0 (n unconstrained when no multiple of gamma returns
-    to Phi); the value is eps(alpha) * factor**n.  With an exact root
-    witness the extension is exactly multiplicative, hence certified
-    trivial in turn.
-    """
-
-    def __init__(
-        self,
-        base: SubgroupWithChoice,
-        gamma: GroupElement,
-        factor: RationalFunction,
-        step: ExtensionStep,
-    ):
-        super().__init__(base.choice.valuation)
-        self.base = base
-        self.gamma = gamma
-        self.factor = factor
-        self.step = step
-        self.subgroup = FgSubgroup(gamma.dim, list(base.subgroup.generators) + [gamma])
-
-    @property
-    def n0(self) -> int | None:
-        return self.step.n0
-
-    def decompose(self, psi_el: GroupElement):
-        """Canonical (alpha, n) with psi_el == alpha + n*gamma, alpha in the base."""
-        witness = self.subgroup.decompose(psi_el)
-        if witness is None:
-            raise DomainError(f"degree {psi_el} is outside the extended subgroup")
-        r = witness[-1]
-        n = r if self.n0 is None else r % self.n0
-        alpha = psi_el - n * self.gamma
-        assert self.base.subgroup.contains(alpha)
-        return alpha, n
-
-    def _evaluate(self, psi_el: GroupElement) -> RationalFunction:
-        alpha, n = self.decompose(psi_el)
-        return self.base.choice(alpha) * self.factor**n
-
-    def contains(self, psi_el: GroupElement) -> bool:
-        return self.subgroup.contains(psi_el)
-
-    def domain_elements(self, bound: int):
-        return _subgroup_elements(self.subgroup.generators, bound)
-
-    def describe(self) -> list[str]:
-        s = self.step
-        lines = [
-            f"kind = extension by {self.gamma}",
-            f"witness x_gamma = {s.x_gamma}",
-        ]
-        if s.n0 is None:
-            lines.append("multiples of the new degree meet the base subgroup only in 0")
-            lines.append(f"factor = {self.factor}")
-        else:
-            lines.append(f"least returning multiple n0 = {s.n0}")
-            lines.append(f"epsilon(n0*gamma) = {s.x0}")
-            lines.append(f"radical instance: {s.n0}-th root of class {s.root_class}")
-            lines.append(f"root witness a = {s.root_witness}")
-            lines.append(f"factor = a*x_gamma = {self.factor}")
-        return lines
-
-
-def extend_choice(
-    base: SubgroupWithChoice,
-    gamma,
-    x_gamma,
-    scan_bound: int = 10_000,
-) -> SubgroupWithChoice:
-    """One extension step; see the module docstring for the construction.
-
-    For subgroups of Q the case split is exact; in higher dimension a
-    returning multiple is searched up to ``scan_bound`` and a miss is
-    treated as the non-returning case.
+    The least returning multiple n0 is exact in every dimension (see
+    :meth:`FgSubgroup.min_multiple`); there is no search bound.
     """
     if not base.certified_trivial:
         raise ValueError("the base choice function must be certified trivial")
-    v = base.choice.valuation
+    chain = base.choice
+    v = chain.valuation
     gamma = gamma if isinstance(gamma, GroupElement) else GroupElement(gamma)
     x_gamma = as_rational_function(x_gamma)
     if base.subgroup.contains(gamma):
@@ -179,12 +91,11 @@ def extend_choice(
             f"witness for {gamma} has value "
             f"{'undefined' if x_gamma.is_zero() else v.value(x_gamma)}, expected {gamma}"
         )
-    n0 = base.subgroup.min_multiple(gamma, bound=scan_bound)
+    n0 = base.subgroup.min_multiple(gamma)
     if n0 is None:
-        step = ExtensionStep(gamma, x_gamma, None, None, None, None)
-        factor = x_gamma
+        step = ExtensionStep(gamma, x_gamma, None, None, None, None, x_gamma, None)
     else:
-        x0 = base.choice(n0 * gamma)
+        x0 = chain(n0 * gamma)
         cls = v.residue(x0 / x_gamma**n0)
         a = cls.nth_root(n0)
         if a is None:
@@ -192,9 +103,9 @@ def extend_choice(
                 f"no {n0}-th root of the class {cls} was found; "
                 f"the extension by {gamma} cannot be completed"
             )
-        step = ExtensionStep(gamma, x_gamma, n0, x0, str(cls), a)
-        factor = a * x_gamma
-    eps = ExtensionChoice(base, gamma, factor, step)
+        carry = tuple(base.subgroup.decompose(n0 * gamma))
+        step = ExtensionStep(gamma, x_gamma, n0, x0, str(cls), a, a * x_gamma, carry)
+    eps = GeneratorChoice(v, chain.generators, chain.witnesses, chain.steps + (step,))
     return SubgroupWithChoice(eps.subgroup, eps, certified_trivial=True)
 
 
@@ -609,7 +520,12 @@ def _analyze_table(primes, valuation, unit, lcm_p, candidates, degree_bound) -> 
     consistent = all(rec.consistent for rec in forced)
     if consistent:
         divisible = unit_degree % lcm_p == 0
-        assert divisible  # forced identities make deg(epsilon(1)) = p * deg(epsilon(1/p))
+        # forced identities make deg(epsilon(1)) = p * deg(epsilon(1/p))
+        if not divisible:
+            raise RuntimeError(
+                f"forced identities hold but deg(epsilon(1)) = {unit_degree} "
+                f"is not divisible by lcm({', '.join(map(str, primes))}) = {lcm_p}"
+            )
         verdict = "DIVISIBILITY"
     else:
         divisible = None

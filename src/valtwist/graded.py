@@ -39,7 +39,6 @@ __all__ = [
     "psi_inverse",
     "psi_inverse_term",
     "constant_lift",
-    "render_graded",
 ]
 
 
@@ -220,14 +219,6 @@ class GradedElement:
         return f"GradedElement({self})"
 
 
-def g_add(a: GradedElement, b: GradedElement) -> GradedElement:
-    return a + b
-
-
-def g_mul(a: GradedElement, b: GradedElement) -> GradedElement:
-    return a * b
-
-
 def psi(eps: ChoiceFunction, x) -> TwistedRingElement:
     """Apply ψ to a homogeneous component or a whole graded element."""
     v = eps.valuation
@@ -283,14 +274,3 @@ def psi_inverse(eps: ChoiceFunction, x: TwistedRingElement, lift=constant_lift) 
     return GradedElement(
         v, (psi_inverse_term(eps, g, x.coeffs[g], lift) for g in x.support())
     )
-
-
-def render_graded(x) -> str:
-    """Stable multi-line rendering: one ``deg=... rep=...`` line per degree."""
-    if isinstance(x, _ZeroHomogeneous):
-        return "0"
-    if isinstance(x, HomogeneousElement):
-        return str(x)
-    if x.is_zero():
-        return "0"
-    return "\n".join(str(x.components[d]) for d in x.support())

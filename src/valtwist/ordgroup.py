@@ -11,14 +11,13 @@ integer witness, i.e. ``a == sum(n_i * g_i)`` with the returned ``n_i``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DimensionMismatchError
 
 __all__ = [
     "GroupElement",
     "FgSubgroup",
-    "cmp",
     "rationally_independent",
 ]
 
@@ -134,37 +133,12 @@ class GroupElement:
         return self.coords >= self._check(other).coords
 
     def __str__(self):
-        if self.dim == 1:
+        if len(self.coords) == 1:
             return str(self.coords[0])
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
     def __repr__(self):
         return f"GroupElement({self})"
-
-
-def cmp(a: GroupElement, b: GroupElement) -> int:
-    """Three-way lexicographic comparison: -1, 0 or 1."""
-    if a < b:
-        return -1
-    return 1 if b < a else 0
-
-
-def rationally_independent(elements) -> bool:
-    """Whether the given group elements are linearly independent over Q."""
-    rows = [list(e.coords) for e in elements]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / rows[rank][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == len(rows)
 
 
 class _Row:
@@ -237,12 +211,20 @@ class FgSubgroup:
             # a row reduced to nothing came from a dependent generator
         return [pivot_row[j] for j in sorted(pivot_row)]
 
-    def decompose(self, a: GroupElement):
-        """Integer witness ``n`` with ``a == sum(n_i * g_i)``, or None."""
+    @property
+    def rank(self) -> int:
+        """Rank of the subgroup: the size of its echelon Z-basis."""
+        return len(self._rows)
+
+    def _check_dim(self, a: GroupElement) -> None:
         if a.dim != self.dim:
             raise DimensionMismatchError(
                 f"element {a} has dimension {a.dim}, expected {self.dim}"
             )
+
+    def decompose(self, a: GroupElement):
+        """Integer witness ``n`` with ``a == sum(n_i * g_i)``, or None."""
+        self._check_dim(a)
         vec = []
         for c in a.coords:
             s = c * self._scale
@@ -261,7 +243,11 @@ class FgSubgroup:
         if any(row.vec):
             return None
         witness = [-c for c in row.coeffs]
-        assert self.recombine(witness) == a
+        if self.recombine(witness) != a:
+            raise RuntimeError(
+                f"witness {witness} of {a} in {self!r} recombines to "
+                f"{self.recombine(witness)}"
+            )
         return witness
 
     def __contains__(self, a) -> bool:
@@ -278,33 +264,36 @@ class FgSubgroup:
             total = total + n * g
         return total
 
-    def min_multiple(self, g: GroupElement, bound: int = 10_000):
-        """Least n >= 2 with ``n*g`` in the subgroup, or None.
+    def min_multiple(self, g: GroupElement):
+        """Least n >= 2 with ``n*g`` in the subgroup, or None if there is none.
 
-        Exact for subgroups of Q (denominator arithmetic); for dim > 1 the
-        search scans n = 2..bound, so None is only 'no multiple within
-        bound'.  Requires ``g`` itself not to be a member.
+        Exact in every dimension: ``g`` is solved over Q against the echelon
+        Z-basis, so n is the lcm of the coordinate denominators, and None
+        means ``g`` lies outside the subgroup's Q-span.  Requires ``g``
+        itself not to be a member.
         """
-        if self.contains(g):
+        self._check_dim(g)
+        vec = [c * self._scale for c in g.coords]
+        coords = []
+        for r in self._rows:
+            q = vec[r.pivot] / r.vec[r.pivot]
+            vec = [x - q * y for x, y in zip(vec, r.vec)]
+            coords.append(q)
+        if any(vec):
+            return None
+        n0 = lcm(1, *(q.denominator for q in coords))
+        if n0 == 1:
             raise ValueError(f"{g} is already a member; no proper multiple needed")
-        if self.dim == 1:
-            nums = []
-            for gen in self.generators:
-                c = gen.coords[0]
-                if c:
-                    nums.append(abs(c))
-            if not nums:
-                return None  # the zero subgroup: no nonzero multiple ever lands in it
-            scale = lcm(*(c.denominator for c in nums))
-            step = Fraction(gcd(*(int(c * scale) for c in nums)), scale)
-            n0 = (g.coords[0] / step).denominator
-            assert n0 >= 2
-            return n0
-        for n in range(2, bound + 1):
-            if self.contains(n * g):
-                return n
-        return None
+        return n0
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"FgSubgroup(dim={self.dim}, [{gens}])"
+
+
+def rationally_independent(elements) -> bool:
+    """Whether the given group elements are linearly independent over Q."""
+    elements = list(elements)
+    if not elements:
+        return True
+    return FgSubgroup(elements[0].dim, elements).rank == len(elements)

@@ -18,20 +18,21 @@ exponents and corrects each coefficient product by the twisting.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .mpoly import RationalFunction, as_rational_function
-from .ordgroup import FgSubgroup, GroupElement, rationally_independent
+from .ordgroup import FgSubgroup, GroupElement
 from .valuation import MonomialValuation, ResidueElement
 
 __all__ = [
     "ChoiceFunction",
     "TableChoice",
+    "ExtensionStep",
     "GeneratorChoice",
     "TwistingTable",
     "TwistedRingElement",
-    "twisting",
     "twisted_mul",
     "is_trivial",
     "semigroup_hom_check",
@@ -161,15 +162,58 @@ def _subgroup_elements(generators, bound: int) -> list[GroupElement]:
     return sorted(out)
 
 
-class GeneratorChoice(ChoiceFunction):
-    """Choice function on a free subgroup, generated by fixed witnesses.
+@dataclass(frozen=True)
+class ExtensionStep:
+    """One radical step of a :class:`GeneratorChoice` chain.
 
-    Given independent degrees γ_i and witnesses z_i with v(z_i) = γ_i, the
-    unique integer decomposition α = Σ n_i γ_i defines ε(α) = Π z_i^{n_i}.
-    Then ε(α)ε(β) == ε(α+β) on the nose, so the twisting is identically 1.
+    ``n0`` is the least multiple of ``gamma`` returning to the previous
+    subgroup (None when none does) and ``carry`` the integer witness of
+    ``n0*gamma`` against the previous subgroup's generators.
     """
 
-    def __init__(self, valuation: MonomialValuation, generators, witnesses):
+    gamma: GroupElement
+    x_gamma: RationalFunction
+    n0: int | None
+    x0: RationalFunction | None
+    root_class: str | None
+    root_witness: RationalFunction | None
+    factor: RationalFunction
+    carry: tuple[int, ...] | None
+
+    def describe(self) -> list[str]:
+        lines = [
+            f"kind = extension by {self.gamma}",
+            f"witness x_gamma = {self.x_gamma}",
+        ]
+        if self.n0 is None:
+            lines.append("multiples of the new degree meet the base subgroup only in 0")
+            lines.append(f"factor = {self.factor}")
+        else:
+            lines.append(f"least returning multiple n0 = {self.n0}")
+            lines.append(f"epsilon(n0*gamma) = {self.x0}")
+            lines.append(f"radical instance: {self.n0}-th root of class {self.root_class}")
+            lines.append(f"root witness a = {self.root_witness}")
+            lines.append(f"factor = a*x_gamma = {self.factor}")
+        return lines
+
+
+class GeneratorChoice(ChoiceFunction):
+    """Certified-trivial choice function: free generators, then radical steps.
+
+    Given independent degrees g_j with witnesses w_j, v(w_j) = g_j, and
+    steps (γ_i, n0_i, f_i) built by ``constructions.extend_choice``, every
+    degree ψ of the subgroup splits canonically as
+
+        ψ = Σ m_j g_j + Σ n_i γ_i,   0 <= n_i < n0_i (n_i free if n0_i is None),
+
+    and ε(ψ) = Π w_j^{m_j} · Π f_i^{n_i}.  The digits come from one
+    decomposition of ψ: from the last step down, n_i = r_i mod n0_i and the
+    carry (r_i - n_i)/n0_i re-enters the earlier coordinates through the
+    step's witness of n0_i·γ_i.  The product is exactly multiplicative, so
+    the twisting is identically 1.  A free choice is a chain of no steps.
+    """
+
+    def __init__(self, valuation: MonomialValuation, generators, witnesses, steps=()):
         super().__init__(valuation)
         gens = [g if isinstance(g, GroupElement) else GroupElement(g) for g in generators]
         wits = [as_rational_function(w) for w in witnesses]
@@ -177,7 +221,8 @@ class GeneratorChoice(ChoiceFunction):
             raise ValueError("need exactly one witness per generator")
         if not gens:
             raise ValueError("need at least one generator")
-        if not rationally_independent(gens):
+        free = FgSubgroup(gens[0].dim, gens)
+        if free.rank != len(gens):
             raise ValueError("generators must be rationally independent")
         for g, w in zip(gens, wits):
             if w.is_zero() or valuation.value(w) != g:
@@ -187,29 +232,52 @@ class GeneratorChoice(ChoiceFunction):
                 )
         self.generators = tuple(gens)
         self.witnesses = tuple(wits)
-        self.subgroup = FgSubgroup(gens[0].dim, gens)
+        self.steps = tuple(steps)
+        self.subgroup = (
+            FgSubgroup(free.dim, gens + [s.gamma for s in self.steps]) if self.steps else free
+        )
+        self._bases = self.witnesses + tuple(s.factor for s in self.steps)
+
+    @property
+    def step(self) -> ExtensionStep | None:
+        """The last radical step, or None for a free choice."""
+        return self.steps[-1] if self.steps else None
+
+    @property
+    def factor(self) -> RationalFunction | None:
+        """The last step's factor, or None for a free choice."""
+        return self.steps[-1].factor if self.steps else None
 
     def _evaluate(self, gamma: GroupElement) -> RationalFunction:
-        witness = self.subgroup.decompose(gamma)
-        if witness is None:
-            raise DomainError(f"degree {gamma} is outside the free subgroup")
+        coeffs = self.subgroup.decompose(gamma)
+        if coeffs is None:
+            raise DomainError(f"degree {gamma} is outside the subgroup")
+        k = len(self.generators)
+        for i in reversed(range(len(self.steps))):
+            step = self.steps[i]
+            if step.n0 is not None:
+                carry, coeffs[k + i] = divmod(coeffs[k + i], step.n0)
+                for j, c in enumerate(step.carry):
+                    coeffs[j] += carry * c
         out = RationalFunction(1)
-        for n, w in zip(witness, self.witnesses):
+        for n, b in zip(coeffs, self._bases):
             if n:
-                out = out * w**n
+                out = out * b**n
         return out
 
     def contains(self, gamma: GroupElement) -> bool:
         return self.subgroup.contains(gamma)
 
     def domain_elements(self, bound: int) -> list[GroupElement]:
-        return _subgroup_elements(self.generators, bound)
+        return _subgroup_elements(self.subgroup.generators, bound)
 
     def describe(self) -> list[str]:
         lines = [f"kind = free ({len(self.generators)} generators)"]
         lines += [
             f"generator {g} -> {w}" for g, w in zip(self.generators, self.witnesses)
         ]
+        for step in self.steps:
+            lines += step.describe()
         return lines
 
 
@@ -241,10 +309,6 @@ class TwistingTable:
 
     def __len__(self):
         return len(self._cache)
-
-
-def twisting(eps: ChoiceFunction, g1: GroupElement, g2: GroupElement) -> ResidueElement:
-    return eps.twisting(g1, g2)
 
 
 class TwistedRingElement:

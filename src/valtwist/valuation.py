@@ -194,7 +194,13 @@ class ResidueElement:
             return self.valuation.residue_zero()
         den = self.den * other.den
         # like-value terms may cancel partially, never drop below the shared value
-        assert self.valuation.polynomial_value(num) == self.valuation.polynomial_value(den)
+        v_num = self.valuation.polynomial_value(num)
+        v_den = self.valuation.polynomial_value(den)
+        if v_num != v_den:
+            raise RuntimeError(
+                f"residue sum ({self}) + ({other}): numerator {num} has value "
+                f"{v_num}, denominator {den} has value {v_den}"
+            )
         return self._make(self.valuation, num, den)
 
     __radd__ = __add__

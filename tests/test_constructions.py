@@ -10,7 +10,6 @@ from valtwist.constructions import (
     counterexample_valuation,
     extend_choice,
     forced_power_check,
-    free_choice,
     free_pair,
     make_initial,
     monomial_pool,
@@ -40,7 +39,7 @@ class TestFreeConstruction:
 
     def test_exactness_on_a_window(self):
         v = MonomialValuation({"x": (1, 0), "y": (0, 1)})
-        eps = free_choice(v, [GroupElement((1, 0)), GroupElement((0, 1))], ["x", "y"])
+        eps = GeneratorChoice(v, [GroupElement((1, 0)), GroupElement((0, 1))], ["x", "y"])
         els = [GroupElement((a, b)) for a in range(-2, 3) for b in range(-2, 3)]
         for a in els:
             for b in els:
@@ -119,6 +118,31 @@ class TestExtensionStep:
         base = free_pair(v, [GroupElement(1)], ["x"])
         with pytest.raises(RootNotFound, match="no 2-th root of the class x / y\\^2"):
             extend_choice(base, ge("1/2"), "y")
+
+    def test_returning_multiple_beyond_ten_thousand_is_found(self):
+        # n0 = 10007 in Q^2; 2 has no rational 10007-th root, so no certificate
+        v = MonomialValuation({"x": (Fraction(1, 10007), 0), "y": (0, 1)})
+        base = free_pair(
+            v, [GroupElement((1, 0)), GroupElement((0, 1))], ["2*x^10007", "y"]
+        )
+        with pytest.raises(RootNotFound, match="no 10007-th root of the class 2 was found"):
+            extend_choice(base, GroupElement((Fraction(1, 10007), 0)), "x")
+
+    def test_carry_crosses_a_non_returning_step(self):
+        # 2*(1/2, 1/2) = (1, 0) + (0, 1) returns only through the free step
+        v = MonomialValuation({"u": (Fraction(1, 2), Fraction(1, 2)), "y": (0, 1)})
+        base = free_pair(v, [GroupElement((1, 0))], ["4*u^2/y"])
+        p1 = extend_choice(base, GroupElement((0, 1)), "y")
+        p2 = extend_choice(p1, GroupElement((Fraction(1, 2), Fraction(1, 2))), "u")
+        eps = p2.choice
+        assert [s.n0 for s in eps.steps] == [None, 2]
+        assert str(eps.factor) == "2*u"
+        assert eps(GroupElement((Fraction(3, 2), Fraction(1, 2)))) == RF("8*u^3 / y")
+        assert eps(GroupElement((Fraction(3, 2), Fraction(-1, 2)))) == RF("8*u^3 / y^2")
+        window = eps.domain_elements(2)
+        for a in window:
+            for b in window:
+                assert eps(a) * eps(b) == eps(a + b)
 
     def test_disjoint_step_needs_no_root(self):
         # <1> and <1/2 + irrational direction> never meet except at 0

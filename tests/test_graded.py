@@ -10,15 +10,12 @@ from valtwist.graded import (
     GradedElement,
     HomogeneousElement,
     constant_lift,
-    g_add,
-    g_mul,
     h_add,
     h_mul,
     in_v,
     psi,
     psi_inverse,
     psi_inverse_term,
-    render_graded,
 )
 from valtwist.mpoly import Polynomial, parse_polynomial, parse_rational_function
 from valtwist.ordgroup import GroupElement
@@ -100,9 +97,9 @@ class TestGradedElement:
     def test_add_and_mul(self, v):
         a = GradedElement(v, [in_v(v, P("x")), in_v(v, P("y"))])
         b = GradedElement(v, [in_v(v, P("y"))])
-        s = g_add(a, b)
+        s = a + b
         assert s.support() == [GroupElement(Fraction(1, 2)), GroupElement(1)]
-        p = g_mul(a, b)
+        p = a * b
         # degrees 1/2 + 1/2 = 1 and 1 + 1/2 = 3/2
         assert p.support() == [GroupElement(1), GroupElement(Fraction(3, 2))]
 
@@ -114,8 +111,8 @@ class TestGradedElement:
 
     def test_render(self, v):
         g = GradedElement(v, [in_v(v, P("y")), in_v(v, P("x"))])
-        assert render_graded(g) == "deg=1/2 rep=y\ndeg=1 rep=x"
-        assert render_graded(GradedElement.zero(v)) == "0"
+        assert str(g) == "deg=1/2 rep=y; deg=1 rep=x"
+        assert str(GradedElement.zero(v)) == "0"
 
 
 class TestPsi:

@@ -1,12 +1,17 @@
 """Ordered group elements, lex order, and finitely generated subgroups."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import valtwist
 from valtwist.errors import DimensionMismatchError
-from valtwist.ordgroup import FgSubgroup, GroupElement, cmp, rationally_independent
+from valtwist.ordgroup import FgSubgroup, GroupElement, rationally_independent
 
 
 def g(*coords):
@@ -68,9 +73,9 @@ class TestGroupElement:
         assert g(1, 0) > g(0, 5)
         assert g(1, 2) < g(1, 3)
         assert g(-1, 100) < GroupElement.zero(2)
-        assert cmp(g(1, 1), g(1, 1)) == 0
-        assert cmp(g(0, 1), g(1, 0)) == -1
-        assert cmp(g(2, 0), g(1, 9)) == 1
+        assert g(1, 1) <= g(1, 1) and g(1, 1) >= g(1, 1)
+        assert g(0, 1) < g(1, 0)
+        assert g(2, 0) > g(1, 9)
 
     def test_sorting_is_lexicographic(self):
         els = [g(1, 0), g(0, 2), g(0, -1), g(-1, 5), g(1, -3)]
@@ -188,3 +193,91 @@ def test_subgroup_membership_dependent_generators(n1, n2):
     a = n1 * GroupElement(Fraction(1, 2)) + n2 * GroupElement(Fraction(1, 3))
     w = G.decompose(a)
     assert w is not None and G.recombine(w) == a
+
+
+class TestMinMultipleExact:
+    def test_beyond_ten_thousand_in_dim_two(self):
+        Z2 = FgSubgroup(2, [g(1, 0), g(0, 1)])
+        assert Z2.min_multiple(g(Fraction(1, 10007), 0)) == 10007
+        assert Z2.min_multiple(g(Fraction(1, 10007), Fraction(1, 3))) == 30021
+
+    def test_skew_lattice(self):
+        # (1/2, 0) = 1/2*(1, 1) - 1/4*(0, 2), so 4 is the first return
+        L = FgSubgroup(2, [g(1, 1), g(0, 2)])
+        assert L.min_multiple(g(Fraction(1, 2), 0)) == 4
+        assert L.min_multiple(g(1, 0)) == 2
+
+    def test_dependent_generators_in_dim_three(self):
+        H = FgSubgroup(3, [g(2, 0, 0), g(3, 0, 0), g(0, 1, 1)])
+        assert H.min_multiple(g(Fraction(1, 5), 0, 0)) == 5
+        assert H.min_multiple(g(0, Fraction(1, 2), Fraction(1, 2))) == 2
+        assert H.min_multiple(g(0, 1, 0)) is None
+
+    def test_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            FgSubgroup(2, [g(1, 0)]).min_multiple(GroupElement(Fraction(1, 2)))
+
+
+def _q_rank(vectors) -> int:
+    """Rank over Q by plain Gaussian elimination, independent of FgSubgroup."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+_wide_coord = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@st.composite
+def _subgroup_and_element(draw):
+    dim = draw(st.integers(1, 3))
+    vec = st.lists(_wide_coord, min_size=dim, max_size=dim)
+    gens = draw(st.lists(vec, max_size=3))
+    return dim, [GroupElement(v) for v in gens], GroupElement(draw(vec))
+
+
+def _divisors(n):
+    small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+    return set(small) | {n // d for d in small}
+
+
+@settings(max_examples=300)
+@given(_subgroup_and_element())
+def test_min_multiple_is_least_and_exact(case):
+    dim, gens, a = case
+    H = FgSubgroup(dim, gens)
+    assume(not H.contains(a))
+    n0 = H.min_multiple(a)
+    in_span = _q_rank([e.coords for e in gens + [a]]) == _q_rank([e.coords for e in gens])
+    assert (n0 is None) == (not in_span)
+    if n0 is not None:
+        assert n0 >= 2 and H.contains(n0 * a)
+        assert not any(H.contains(m * a) for m in _divisors(n0) - {n0})
+
+
+def test_invariant_errors_survive_optimized_mode():
+    # asserts vanish under -O; the decompose recombine check must not
+    code = (
+        "import sys\n"
+        "from valtwist.ordgroup import FgSubgroup, GroupElement\n"
+        "assert sys.flags.optimize\n"
+        "FgSubgroup.recombine = lambda self, w: GroupElement.zero(self.dim)\n"
+        "FgSubgroup(1, [GroupElement(1)]).decompose(GroupElement(3))\n"
+    )
+    src = str(Path(valtwist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert "RuntimeError: witness [3] of 3 in FgSubgroup(dim=1, [1]) recombines to 0" in proc.stderr
