@@ -12,6 +12,10 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed (a genuine
 conflict), 2 unusable input, 3 a construction step failed (no radical
 witness).  Reports go to stdout, diagnostics to stderr; for a fixed setup
 file and seed the report is byte-identical across runs.
+
+Each command returns one list of report records ``(text, tag, fields)``;
+:func:`main` prints either the text lines or, with ``--machine``, one
+``tag key=value ...`` line per record, so the two formats cannot drift.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import random
 import sys
 from pathlib import Path
 
-from .constructions import analyze_counterexample, extend_choice
+from .constructions import AnalyzerReport, analyze_counterexample, extend_choice
 from .errors import RootNotFound, SetupError
 from .graded import constant_lift
 from .setupfile import SetupFile, load_setup
@@ -42,47 +46,54 @@ EXIT_INPUT = 2
 EXIT_CONSTRUCTION = 3
 
 
-def _quote(value: str) -> str:
+def _line(text: str | None, tag: str | None = None, **fields) -> tuple:
+    """One report record: the text line, and the tag and ordered fields of
+    the ``--machine`` line; either side is None when the line exists in one
+    format only."""
+    return text, tag, fields
+
+
+def _quote(value) -> str:
+    """A machine field value: None as ``-``, booleans in lower case, and
+    quotes around values that are empty or hold a space, ``=`` or ``|``."""
+    if value is None:
+        return "-"
+    value = str(value).lower() if isinstance(value, bool) else str(value)
     if value == "" or any(ch in value for ch in " =|"):
         return '"' + value + '"'
     return value
 
 
-def _kv_line(tag: str, pairs) -> str:
-    return " ".join([tag] + [f"{k}={_quote(str(v))}" for k, v in pairs])
+def _render(records, machine: bool) -> list[str]:
+    if not machine:
+        return [text for text, _, _ in records if text is not None]
+    return [
+        " ".join([tag] + [f"{k}={_quote(v)}" for k, v in fields.items()])
+        for _, tag, fields in records
+        if tag is not None
+    ]
 
 
-def _suite_lines(results: list[SuiteResult], machine: bool) -> tuple[list[str], bool]:
-    lines = []
-    ok = True
+def _suite_records(results: list[SuiteResult]):
+    records = []
     for r in results:
-        if r.skipped is None and not r.ok:
-            ok = False
-        if machine:
-            pairs = [
-                ("name", r.name),
-                ("status", r.status()),
-                ("cases", r.cases),
-                ("failures", len(r.failures)),
-            ]
-            if r.skipped:
-                pairs.append(("reason", r.skipped))
-            lines.append(_kv_line("suite", pairs))
-            for f in r.failures:
-                lines.append(_kv_line("failure", [("suite", r.name), ("detail", f)]))
-            for n in r.notes:
-                lines.append(_kv_line("note", [("suite", r.name), ("detail", n)]))
-        else:
-            status = r.status()
-            tail = f" ({r.cases} cases)"
-            if r.skipped:
-                tail = f" ({r.skipped})"
-            lines.append(f"{r.name}: {status}{tail}")
-            for f in r.failures:
-                lines.append(f"  failure: {f}")
-            for n in r.notes:
-                lines.append(f"  note: {n}")
-    return lines, ok
+        status = r.status()
+        extra = {"reason": r.skipped} if r.skipped else {}
+        records.append(
+            _line(
+                f"{r.name}: {status} ({r.skipped or f'{r.cases} cases'})",
+                "suite",
+                name=r.name,
+                status=status,
+                cases=r.cases,
+                failures=len(r.failures),
+                **extra,
+            )
+        )
+        records += [_line(f"  failure: {f}", "failure", suite=r.name, detail=f) for f in r.failures]
+        records += [_line(f"  note: {n}", "note", suite=r.name, detail=n) for n in r.notes]
+    ok = all(r.ok for r in results if r.skipped is None)
+    return records, EXIT_OK if ok else EXIT_CONFLICT
 
 
 def _setups_for(setup: SetupFile) -> list[ChoiceSetup]:
@@ -97,7 +108,7 @@ def _setups_for(setup: SetupFile) -> list[ChoiceSetup]:
     return out
 
 
-def cmd_ring_axioms(setup: SetupFile, seed: int, bound: int, machine: bool):
+def cmd_ring_axioms(setup: SetupFile, seed: int, bound: int):
     results = []
     for cs in _setups_for(setup):
         rng = random.Random(seed)
@@ -105,38 +116,49 @@ def cmd_ring_axioms(setup: SetupFile, seed: int, bound: int, machine: bool):
         results.append(ring_axiom_suite(cs, rng, trials=trials))
         results.append(cocycle_suite(cs, rng, triples=setup.campaign.samples))
         results.append(triviality_agreement_suite(cs, bound=bound))
-    lines, ok = _suite_lines(results, machine)
-    return lines, EXIT_OK if ok else EXIT_CONFLICT
+    return _suite_records(results)
 
 
-def cmd_iso_verify(setup: SetupFile, seed: int, bound: int, machine: bool):
+def cmd_iso_verify(setup: SetupFile, seed: int, bound: int):
     results = []
     for cs in _setups_for(setup):
         rng = random.Random(seed)
         results.extend(psi_suites(cs, rng, pairs=setup.campaign.samples))
-    lines, ok = _suite_lines(results, machine)
-    return lines, EXIT_OK if ok else EXIT_CONFLICT
+    return _suite_records(results)
 
 
-def _dump_choice(eps, bound: int, machine: bool, describe: bool = False) -> list[str]:
-    lines = []
-    if machine:
-        for g in eps.domain_elements(min(bound, 3)):
-            lines.append(_kv_line("epsilon", [("degree", g), ("value", eps(g))]))
+def _step_records(i: int, step) -> list:
+    detail = [f"kind = extension by {step.gamma}", f"witness x_gamma = {step.x_gamma}"]
+    if step.n0 is None:
+        detail += [
+            "multiples of the new degree meet the base subgroup only in 0",
+            f"factor = {step.factor}",
+        ]
     else:
-        if describe:
-            lines.extend(eps.describe())
-        lines.append("values on low degrees:")
-        for g in eps.domain_elements(min(bound, 3)):
-            lines.append(f"  epsilon({g}) = {eps(g)}")
-    return lines
+        detail += [
+            f"least returning multiple n0 = {step.n0}",
+            f"epsilon(n0*gamma) = {step.x0}",
+            f"radical instance: {step.n0}-th root of class {step.root_class}",
+            f"root witness a = {step.root_witness}",
+            f"factor = a*x_gamma = {step.factor}",
+        ]
+    head = _line(
+        f"step {i}: extend by {step.gamma}",
+        "step",
+        index=i,
+        gamma=step.gamma,
+        n0=step.n0,
+        root=step.root_witness,
+        factor=step.factor,
+    )
+    return [head] + [_line("  " + text) for text in detail]
 
 
-def cmd_build(setup: SetupFile, seed: int, bound: int, machine: bool):
+def cmd_build(setup: SetupFile, seed: int, bound: int):
     if setup.build is None:
         raise SetupError("the build command needs a [build] section")
     directive = setup.build
-    lines: list[str] = []
+    records = []
     if directive.mode == "free":
         pair = setup.pairs[directive.choice]
     else:
@@ -146,50 +168,134 @@ def cmd_build(setup: SetupFile, seed: int, bound: int, machine: bool):
                 pair = extend_choice(pair, gamma, witness)
             except ValueError as exc:
                 raise SetupError(f"[build] step {i} ({gamma}): {exc}") from None
-            step = pair.choice.step
-            if machine:
-                lines.append(
-                    _kv_line(
-                        "step",
-                        [
-                            ("index", i),
-                            ("gamma", gamma),
-                            ("n0", step.n0 if step.n0 is not None else "-"),
-                            ("root", step.root_witness if step.root_witness is not None else "-"),
-                            ("factor", step.factor),
-                        ],
-                    )
-                )
-            else:
-                lines.append(f"step {i}: extend by {gamma}")
-                lines.extend("  " + l for l in step.describe())
-    trivial, failing = is_trivial(pair.choice, bound)
-    hom = semigroup_hom_check(pair.choice, bound)
-    ok = trivial and hom
-    if machine:
-        lines.append(
-            _kv_line(
-                "construction",
-                [
-                    ("certified", str(pair.certified_trivial).lower()),
-                    ("trivial_checked", str(trivial).lower()),
-                    ("hom_checked", str(hom).lower()),
-                    ("bound", bound),
-                ],
+            records += _step_records(i, pair.choice.step)
+    eps = pair.choice
+    trivial, failing = is_trivial(eps, bound)
+    hom = semigroup_hom_check(eps, bound)
+    records.append(
+        _line(
+            f"certified trivial by construction: {pair.certified_trivial}",
+            "construction",
+            certified=pair.certified_trivial,
+            trivial_checked=trivial,
+            hom_checked=hom,
+            bound=bound,
+        )
+    )
+    records.append(_line(f"twisting trivial up to height {bound}: {trivial}"))
+    if failing is not None:
+        records.append(_line(f"  first failing pair: ({failing[0]}, {failing[1]})"))
+    records.append(_line(f"semigroup-hom check up to height {bound}: {hom}"))
+    if directive.mode == "free":
+        records.append(_line(f"kind = free ({len(eps.generators)} generators)"))
+        records += [_line(f"generator {g} -> {w}") for g, w in zip(eps.generators, eps.witnesses)]
+    records.append(_line("values on low degrees:"))
+    records += [
+        _line(f"  epsilon({g}) = {eps(g)}", "epsilon", degree=g, value=eps(g))
+        for g in eps.domain_elements(min(bound, 3))
+    ]
+    return records, EXIT_OK if trivial and hom else EXIT_CONFLICT
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _analyzer_records(r: AnalyzerReport) -> list:
+    primes = ", ".join(map(str, r.primes))
+    records = [
+        _line(
+            f"prime set: {primes or '(empty)'}",
+            "analyzer",
+            mode=r.mode,
+            primes=",".join(map(str, r.primes)),
+            degree_bound=r.degree_bound,
+        ),
+        _line(f"mode: {r.mode}"),
+    ]
+    for title, tag, table in (
+        ("candidate table:", "candidate", r.candidates),
+        ("initial reduction:", "initial", r.initial_table),
+    ):
+        if table is not None:
+            records.append(_line(title))
+            records += [_line(f"  epsilon({d}) = {v}", tag, degree=d, value=v) for d, v in table]
+    for f in r.forced:
+        status = "consistent" if f.consistent else "INCONSISTENT"
+        records.append(
+            _line(
+                f"forced identity p={f.p}: {status}: {f.lhs} vs {f.rhs}",
+                "forced_power",
+                p=f.p,
+                consistent=f.consistent,
+                lhs=f.lhs,
+                rhs=f.rhs,
             )
         )
-        lines.extend(_dump_choice(pair.choice, bound, machine))
-    else:
-        lines.append(f"certified trivial by construction: {pair.certified_trivial}")
-        lines.append(f"twisting trivial up to height {bound}: {trivial}")
-        if failing is not None:
-            lines.append(f"  first failing pair: ({failing[0]}, {failing[1]})")
-        lines.append(f"semigroup-hom check up to height {bound}: {hom}")
-        lines.extend(_dump_choice(pair.choice, bound, machine, describe=directive.mode == "free"))
-    return lines, EXIT_OK if ok else EXIT_CONFLICT
+    for root in r.roots:
+        found = "no root found" if root.root is None else f"root {root.root}"
+        records.append(
+            _line(
+                f"p-th power p={root.p}: {found}; p | deg(epsilon(1)): {_yes(root.divides)}",
+                "pth_root",
+                p=root.p,
+                found=root.root is not None,
+                root=root.root,
+                divides=root.divides,
+            )
+        )
+    if r.unit_degree is not None:
+        records.append(
+            _line(
+                f"deg(epsilon(1)) = {r.unit_degree}",
+                "unit_degree",
+                value=r.unit_degree,
+                caveat=r.degree_caveat,
+            )
+        )
+        if r.degree_caveat:
+            records.append(
+                _line(
+                    "degree caveat: numerator and denominator are both non-monomial;"
+                    " an undetected common factor could lower the degree"
+                )
+            )
+    for d, size in r.pool_sizes or ():
+        text = f"candidate pool for degree {d}: {size} values"
+        records.append(_line(text, "pool", degree=d, size=size))
+    if r.consistent_tables is not None:
+        records.append(_line(f"consistent joint tables: {len(r.consistent_tables)}"))
+        for i, t in enumerate(r.consistent_tables):
+            inner = ", ".join(f"epsilon({d}) = {v}" for d, v in t.assignments)
+            records.append(
+                _line(
+                    f"  [{i}] {inner}; deg(epsilon(1)) = {t.unit_degree}; "
+                    f"lcm divides: {_yes(t.divisible)}; "
+                    f"twisting recheck: {'ok' if t.recheck_ok else 'FAILED'}",
+                    "consistent_table",
+                    index=i,
+                    entries="|".join(f"{d}:{v}" for d, v in t.assignments),
+                    unit_degree=t.unit_degree,
+                    divisible=t.divisible,
+                    recheck=t.recheck_ok,
+                )
+            )
+    if r.lcm_primes is not None:
+        text = None
+        if r.divisible is not None:
+            text = f"lcm({primes}) = {r.lcm_primes} divides deg(epsilon(1)): {_yes(r.divisible)}"
+        records.append(
+            _line(text, "divisibility", lcm=r.lcm_primes, holds=bool(r.divisible))
+        )
+    if r.conflict_detail:
+        records.append(_line(f"conflict: {r.conflict_detail}"))
+    records.append(
+        _line(f"verdict: {r.verdict}", "verdict", kind=r.verdict, detail=r.conflict_detail)
+    )
+    return records + [_line(note) for note in r.narrative]
 
 
-def cmd_counterexample(setup: SetupFile, seed: int, bound: int, machine: bool):
+def cmd_counterexample(setup: SetupFile, seed: int, bound: int):
     if setup.analyzer is None:
         raise SetupError("the counterexample command needs an [analyzer] section")
     directive = setup.analyzer
@@ -198,8 +304,7 @@ def cmd_counterexample(setup: SetupFile, seed: int, bound: int, machine: bool):
         candidates=directive.candidates,
         degree_bound=directive.degree_bound,
     )
-    lines = report.render_machine_lines() if machine else report.render_text().splitlines()
-    return lines, report.exit_code
+    return _analyzer_records(report), report.exit_code
 
 
 _COMMANDS = {
@@ -242,14 +347,14 @@ def main(argv=None) -> int:
         setup = load_setup(text)
         seed = args.seed if args.seed is not None else setup.campaign.seed
         bound = args.bound if args.bound is not None else setup.campaign.bound
-        lines, code = _COMMANDS[args.command](setup, seed, bound, args.machine)
+        records, code = _COMMANDS[args.command](setup, seed, bound)
     except SetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RootNotFound as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    for line in lines:
+    for line in _render(records, args.machine):
         print(line)
     return code
 

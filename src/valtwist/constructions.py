@@ -199,16 +199,6 @@ def monomial_pool(primes, target: Fraction, degree_bound: int) -> list[RationalF
     return out
 
 
-def _quote(value: str) -> str:
-    if value == "" or any(ch in value for ch in " =|"):
-        return '"' + value + '"'
-    return value
-
-
-def _kv_line(tag: str, pairs) -> str:
-    return " ".join([tag] + [f"{k}={_quote(str(v))}" for k, v in pairs])
-
-
 @dataclass(frozen=True)
 class ForcedPowerRecord:
     p: int
@@ -256,140 +246,6 @@ class AnalyzerReport:
     @property
     def exit_code(self) -> int:
         return 1 if self.verdict == "CONFLICT" else 0
-
-    def render_text(self) -> str:
-        lines = [f"prime set: {', '.join(str(p) for p in self.primes) or '(empty)'}"]
-        lines.append(f"mode: {self.mode}")
-        if self.candidates is not None:
-            lines.append("candidate table:")
-            lines += [f"  epsilon({d}) = {v}" for d, v in self.candidates]
-        if self.initial_table is not None:
-            lines.append("initial reduction:")
-            lines += [f"  epsilon({d}) = {v}" for d, v in self.initial_table]
-        for rec in self.forced:
-            status = "consistent" if rec.consistent else "INCONSISTENT"
-            lines.append(f"forced identity p={rec.p}: {status}: {rec.lhs} vs {rec.rhs}")
-        for rec in self.roots:
-            found = f"root {rec.root}" if rec.root is not None else "no root found"
-            lines.append(
-                f"p-th power p={rec.p}: {found}; p | deg(epsilon(1)): "
-                f"{'yes' if rec.divides else 'no'}"
-            )
-        if self.unit_degree is not None:
-            lines.append(f"deg(epsilon(1)) = {self.unit_degree}")
-            if self.degree_caveat:
-                lines.append(
-                    "degree caveat: numerator and denominator are both non-monomial;"
-                    " an undetected common factor could lower the degree"
-                )
-        if self.pool_sizes is not None:
-            for d, size in self.pool_sizes:
-                lines.append(f"candidate pool for degree {d}: {size} values")
-        if self.consistent_tables is not None:
-            lines.append(f"consistent joint tables: {len(self.consistent_tables)}")
-            for i, t in enumerate(self.consistent_tables):
-                inner = ", ".join(f"epsilon({d}) = {v}" for d, v in t.assignments)
-                lines.append(
-                    f"  [{i}] {inner}; deg(epsilon(1)) = {t.unit_degree}; "
-                    f"lcm divides: {'yes' if t.divisible else 'no'}; "
-                    f"twisting recheck: {'ok' if t.recheck_ok else 'FAILED'}"
-                )
-        if self.lcm_primes is not None and self.divisible is not None:
-            lines.append(
-                f"lcm({', '.join(str(p) for p in self.primes)}) = {self.lcm_primes} "
-                f"divides deg(epsilon(1)): {'yes' if self.divisible else 'no'}"
-            )
-        if self.conflict_detail:
-            lines.append(f"conflict: {self.conflict_detail}")
-        lines.append(f"verdict: {self.verdict}")
-        lines += list(self.narrative)
-        return "\n".join(lines)
-
-    def render_machine_lines(self) -> list[str]:
-        lines = [
-            _kv_line(
-                "analyzer",
-                [
-                    ("mode", self.mode),
-                    ("primes", ",".join(str(p) for p in self.primes)),
-                    ("degree_bound", self.degree_bound if self.degree_bound is not None else "-"),
-                ],
-            )
-        ]
-        for d, v in self.candidates or ():
-            lines.append(_kv_line("candidate", [("degree", d), ("value", v)]))
-        for d, v in self.initial_table or ():
-            lines.append(_kv_line("initial", [("degree", d), ("value", v)]))
-        for rec in self.forced:
-            lines.append(
-                _kv_line(
-                    "forced_power",
-                    [
-                        ("p", rec.p),
-                        ("consistent", str(rec.consistent).lower()),
-                        ("lhs", rec.lhs),
-                        ("rhs", rec.rhs),
-                    ],
-                )
-            )
-        for rec in self.roots:
-            lines.append(
-                _kv_line(
-                    "pth_root",
-                    [
-                        ("p", rec.p),
-                        ("found", str(rec.root is not None).lower()),
-                        ("root", rec.root if rec.root is not None else "-"),
-                        ("divides", str(rec.divides).lower()),
-                    ],
-                )
-            )
-        if self.unit_degree is not None:
-            lines.append(
-                _kv_line(
-                    "unit_degree",
-                    [
-                        ("value", self.unit_degree),
-                        ("caveat", str(self.degree_caveat).lower()),
-                    ],
-                )
-            )
-        for d, size in self.pool_sizes or ():
-            lines.append(_kv_line("pool", [("degree", d), ("size", size)]))
-        for i, t in enumerate(self.consistent_tables or ()):
-            entries = "|".join(f"{d}:{v}" for d, v in t.assignments)
-            lines.append(
-                _kv_line(
-                    "consistent_table",
-                    [
-                        ("index", i),
-                        ("entries", entries),
-                        ("unit_degree", t.unit_degree),
-                        ("divisible", str(t.divisible).lower()),
-                        ("recheck", str(t.recheck_ok).lower()),
-                    ],
-                )
-            )
-        if self.lcm_primes is not None:
-            lines.append(
-                _kv_line(
-                    "divisibility",
-                    [
-                        ("lcm", self.lcm_primes),
-                        ("holds", str(bool(self.divisible)).lower()),
-                    ],
-                )
-            )
-        lines.append(
-            _kv_line(
-                "verdict",
-                [
-                    ("kind", self.verdict),
-                    ("detail", self.conflict_detail or "-"),
-                ],
-            )
-        )
-        return lines
 
 
 _NARRATIVE_FINITE = (
@@ -476,12 +332,15 @@ def analyze_counterexample(primes, candidates=None, degree_bound: int = 8) -> An
 def _coerce_candidates(primes, valuation, candidates) -> TableChoice:
     table = {}
     for key, value in candidates.items():
-        if isinstance(key, str):
-            key = GroupElement.parse(key, dim=1)
-        elif not isinstance(key, GroupElement):
-            key = GroupElement(key)
-        if isinstance(value, str):
-            value = parse_rational_function(value)
+        try:
+            if isinstance(key, str):
+                key = GroupElement.parse(key, dim=1)
+            elif not isinstance(key, GroupElement):
+                key = GroupElement(key)
+            if isinstance(value, str):
+                value = parse_rational_function(value)
+        except ValueError as exc:
+            raise SetupError(f"malformed candidate for degree {key}: {exc}") from None
         table[key] = value
     needed = [GroupElement(Fraction(1, p)) for p in primes] + [GroupElement(Fraction(1))]
     for deg in needed:

@@ -622,13 +622,13 @@ def _rational_nth_root(c: Fraction, n: int) -> Fraction | None:
     return Fraction(-p if c < 0 else p, q)
 
 
-def nth_root(f: Polynomial, n: int, max_steps: int | None = None) -> Polynomial | None:
+def nth_root(f: Polynomial, n: int) -> Polynomial | None:
     """Polynomial g with ``g**n == f``, or None.
 
     Sound: a returned root is verified by reconstruction.  The leading-term
-    recursion recovers the root of any perfect power whose intermediate
-    term count stays under ``max_steps`` (default scales with the input);
-    None therefore means "no root found", not a disproof.
+    recursion adds one root term per step and gives up after
+    ``4*len(f) + 4*f.total_degree() + 16`` steps; None therefore means
+    "no root found", not a disproof.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("the root index must be an integer >= 2")
@@ -647,7 +647,7 @@ def nth_root(f: Polynomial, n: int, max_steps: int | None = None) -> Polynomial 
     g = Polynomial.term(root_m, root_c)
     denom_c = n * root_c ** (n - 1)
     denom_m = root_m.pow(n - 1)
-    cap = max_steps if max_steps is not None else 4 * len(f) + 4 * f.total_degree() + 16
+    cap = 4 * len(f) + 4 * f.total_degree() + 16
     last = root_m
     h = f - g**n
     steps = 0

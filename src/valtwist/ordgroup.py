@@ -250,9 +250,6 @@ class FgSubgroup:
             )
         return witness
 
-    def __contains__(self, a) -> bool:
-        return self.decompose(a) is not None
-
     def contains(self, a) -> bool:
         return self.decompose(a) is not None
 

@@ -87,9 +87,6 @@ class ChoiceFunction:
     def twisting(self, g1: GroupElement, g2: GroupElement) -> ResidueElement:
         return self.twist_table(g1, g2)
 
-    def describe(self) -> list[str]:
-        raise NotImplementedError
-
 
 class TableChoice(ChoiceFunction):
     """A finite, explicitly tabulated choice function.
@@ -138,11 +135,6 @@ class TableChoice(ChoiceFunction):
     def items(self):
         return sorted(self.table.items())
 
-    def describe(self) -> list[str]:
-        lines = [f"kind = table ({len(self.table)} entries)"]
-        lines += [f"epsilon({g}) = {f}" for g, f in self.items()]
-        return lines
-
 
 def _subgroup_elements(generators, bound: int) -> list[GroupElement]:
     """All integer combinations with |n|_1 <= bound, sorted."""
@@ -179,22 +171,6 @@ class ExtensionStep:
     root_witness: RationalFunction | None
     factor: RationalFunction
     carry: tuple[int, ...] | None
-
-    def describe(self) -> list[str]:
-        lines = [
-            f"kind = extension by {self.gamma}",
-            f"witness x_gamma = {self.x_gamma}",
-        ]
-        if self.n0 is None:
-            lines.append("multiples of the new degree meet the base subgroup only in 0")
-            lines.append(f"factor = {self.factor}")
-        else:
-            lines.append(f"least returning multiple n0 = {self.n0}")
-            lines.append(f"epsilon(n0*gamma) = {self.x0}")
-            lines.append(f"radical instance: {self.n0}-th root of class {self.root_class}")
-            lines.append(f"root witness a = {self.root_witness}")
-            lines.append(f"factor = a*x_gamma = {self.factor}")
-        return lines
 
 
 class GeneratorChoice(ChoiceFunction):
@@ -270,15 +246,6 @@ class GeneratorChoice(ChoiceFunction):
 
     def domain_elements(self, bound: int) -> list[GroupElement]:
         return _subgroup_elements(self.subgroup.generators, bound)
-
-    def describe(self) -> list[str]:
-        lines = [f"kind = free ({len(self.generators)} generators)"]
-        lines += [
-            f"generator {g} -> {w}" for g, w in zip(self.generators, self.witnesses)
-        ]
-        for step in self.steps:
-            lines += step.describe()
-        return lines
 
 
 class TwistingTable:

@@ -151,6 +151,19 @@ class TestErrorPaths:
         rc, _, err = run(capsys, "ring-axioms", "--setup", str(f))
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "degree,value", [("1/2", "x2^"), ("1", "a / b + c / d")], ids=["dangling-power", "two-bars"]
+    )
+    def test_malformed_candidate_exits_2(self, capsys, tmp_path, degree, value):
+        table = {"1/2": "x2", "1": "x2^2", degree: value}
+        entries = "".join(f'  "{k}" = "{v}"\n' for k, v in table.items())
+        f = tmp_path / "bad.vt"
+        f.write_text(f"[analyzer]\nprimes = 2\ncandidates {{\n{entries}}}\n")
+        rc, out, err = run(capsys, "counterexample", "--setup", str(f))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: malformed candidate for degree {degree}:")
+
     def test_unknown_command_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--setup", "x"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from valtwist import cli
 from valtwist.constructions import (
     AnalyzerReport,
     analyze_counterexample,
@@ -290,16 +291,22 @@ class TestAnalyzer:
         rep = analyze_counterexample([2], candidates=t)
         assert rep.degree_caveat is False
 
-    def test_narrative_mentions_the_unmechanized_step(self):
-        rep = analyze_counterexample([2], candidates={
-            Fraction(1, 2): "x2", Fraction(1): "x2^2",
-        })
-        text = rep.render_text()
-        assert "narrative, not machine-checked" in text
+    def test_narrative_mentions_the_unmechanized_step(self, capsys, tmp_path):
+        setup = tmp_path / "table.vt"
+        setup.write_text(
+            '[analyzer]\nprimes = 2\ncandidates {\n  "1/2" = "x2"\n  "1" = "x2^2"\n}\n'
+        )
+        assert cli.main(["counterexample", "--setup", str(setup)]) == 0
+        assert "narrative, not machine-checked" in capsys.readouterr().out
 
-    def test_machine_lines_are_deterministic(self):
-        a = analyze_counterexample([2, 3], degree_bound=8).render_machine_lines()
-        b = analyze_counterexample([2, 3], degree_bound=8).render_machine_lines()
+    def test_machine_lines_are_deterministic(self, capsys, tmp_path):
+        setup = tmp_path / "pool.vt"
+        setup.write_text("[analyzer]\nprimes = 2, 3\ndegree_bound = 8\n")
+        argv = ["counterexample", "--setup", str(setup), "--machine"]
+        cli.main(argv)
+        a = capsys.readouterr().out.splitlines()
+        cli.main(argv)
+        b = capsys.readouterr().out.splitlines()
         assert a == b
         assert a[0] == "analyzer mode=enumerate primes=2,3 degree_bound=8"
 
