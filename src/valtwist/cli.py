@@ -285,7 +285,7 @@ def _analyzer_records(r: AnalyzerReport) -> list:
         if r.divisible is not None:
             text = f"lcm({primes}) = {r.lcm_primes} divides deg(epsilon(1)): {_yes(r.divisible)}"
         records.append(
-            _line(text, "divisibility", lcm=r.lcm_primes, holds=bool(r.divisible))
+            _line(text, "divisibility", lcm=r.lcm_primes, holds=r.divisible)
         )
     if r.conflict_detail:
         records.append(_line(f"conflict: {r.conflict_detail}"))

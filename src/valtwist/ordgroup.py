@@ -2,16 +2,23 @@
 
 A :class:`GroupElement` is an immutable point of Q^d compared
 lexicographically (coordinate 0 is most significant), which makes Q^d a
-totally ordered abelian group under componentwise addition.  A
-:class:`FgSubgroup` is generated by finitely many such points; membership
-is decided exactly by integer row reduction and always comes with an
-integer witness, i.e. ``a == sum(n_i * g_i)`` with the returned ``n_i``.
+totally ordered abelian group under componentwise addition.  It is stored
+as integer numerators over one positive common denominator,
+``coords[i] == num[i] / den``, kept reduced: ``gcd(den, *num) == 1``.  Equal
+points therefore have equal ``(num, den)``, which is what ``==`` and
+``hash`` use, and all group arithmetic and comparison is on integers.
+
+A :class:`FgSubgroup` is generated by finitely many such points; it scales
+them once to integer vectors of a common lattice ``Z^d / scale``, and
+membership is decided exactly by integer row reduction and always comes
+with an integer witness, i.e. ``a == sum(n_i * g_i)`` with the returned
+``n_i``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError
 
@@ -22,27 +29,57 @@ __all__ = [
 ]
 
 
-class GroupElement:
-    """A point of Q^d under the lexicographic order."""
+def _coordinate(c):
+    """``c`` as an int or a Fraction; only exact rational input is accepted."""
+    if type(c) is int or type(c) is Fraction:
+        return c
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    if isinstance(c, str):
+        try:
+            return Fraction(c)
+        except ValueError:
+            raise ValueError(f"coordinate {c!r} is not a rational number") from None
+    raise TypeError(
+        f"coordinate {c!r} of type {type(c).__name__} is not an int, "
+        "a Fraction or a rational string"
+    )
 
-    __slots__ = ("coords", "_hash")
+
+class GroupElement:
+    """A point of Q^d under the lexicographic order, as ``num / den``."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coords):
         if isinstance(coords, GroupElement):
-            coords = coords.coords
-        elif isinstance(coords, (int, str, Fraction)):
+            self.num, self.den = coords.num, coords.den
+            return
+        if isinstance(coords, (int, str, Fraction)):
             coords = (coords,)
-        coords = tuple(
-            c if type(c) is Fraction else Fraction(c) for c in coords
-        )
+        else:
+            try:
+                coords = tuple(coords)
+            except TypeError:
+                coords = (coords,)
         if not coords:
             raise ValueError("a group element needs at least one coordinate")
-        self.coords = coords
-        self._hash = None
+        if all(type(c) is int for c in coords):
+            self.num, self.den = coords, 1
+            return
+        pairs = [
+            (c if type(c) is Fraction else _coordinate(c)).as_integer_ratio()
+            for c in coords
+        ]
+        # each coordinate is reduced, so numerators over the lcm of the
+        # denominators share no factor with it
+        den = lcm(*[d for _, d in pairs])
+        self.num = tuple([n * (den // d) for n, d in pairs])
+        self.den = den
 
     @classmethod
     def zero(cls, dim: int) -> "GroupElement":
-        return cls((0,) * dim)
+        return _raw((0,) * dim, 1)
 
     @classmethod
     def parse(cls, text: str, dim: int | None = None) -> "GroupElement":
@@ -64,81 +101,123 @@ class GroupElement:
         return el
 
     @property
+    def coords(self) -> tuple:
+        """The coordinates as a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
+
+    @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def _check(self, other) -> "GroupElement":
         if not isinstance(other, GroupElement):
             raise TypeError(f"expected GroupElement, got {type(other).__name__}")
-        if other.dim != self.dim:
+        if len(other.num) != len(self.num):
             raise DimensionMismatchError(
                 f"dimension mismatch: {self.dim} vs {other.dim}"
             )
         return other
 
-    @classmethod
-    def _raw(cls, coords: tuple) -> "GroupElement":
-        out = object.__new__(cls)
-        out.coords = coords
-        out._hash = None
-        return out
-
     def __add__(self, other):
-        other = self._check(other)
-        return GroupElement._raw(
-            tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        if type(other) is not GroupElement or len(other.num) != len(self.num):
+            other = self._check(other)
+        a, b = self.den, other.den
+        if a == b:
+            num = tuple([x + y for x, y in zip(self.num, other.num)])
+            return _raw(num, 1) if a == 1 else _reduced(num, a)
+        return _reduced(tuple([x * b + y * a for x, y in zip(self.num, other.num)]), a * b)
 
     def __sub__(self, other):
-        other = self._check(other)
-        return GroupElement._raw(
-            tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        if type(other) is not GroupElement or len(other.num) != len(self.num):
+            other = self._check(other)
+        a, b = self.den, other.den
+        if a == b:
+            num = tuple([x - y for x, y in zip(self.num, other.num)])
+            return _raw(num, 1) if a == 1 else _reduced(num, a)
+        return _reduced(tuple([x * b - y * a for x, y in zip(self.num, other.num)]), a * b)
 
     def __neg__(self):
-        return GroupElement._raw(tuple(-a for a in self.coords))
+        return _raw(tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return GroupElement._raw(tuple(n * a for a in self.coords))
+        den = self.den
+        if den != 1:
+            g = gcd(den, n)
+            if g != 1:
+                return _raw(tuple([(n // g) * x for x in self.num]), den // g)
+        return _raw(tuple([n * x for x in self.num]), den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.coords == other.coords
+        return (
+            isinstance(other, GroupElement)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        # Fraction hashing is costly; group elements are heavy dict keys
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.coords)
-        return h
+        return hash((self.num, self.den))
 
-    # Tuples of Fractions compare lexicographically, which is exactly the
-    # intended group order.
+    # Over a shared positive denominator the numerator tuples compare
+    # lexicographically, exactly as the points do; across two denominators
+    # the first coordinate that differs after cross-scaling decides.
+    def _cross(self, other):
+        other = self._check(other)
+        a, b = self.den, other.den
+        if a == b:
+            return self.num, other.num
+        for x, y in zip(self.num, other.num):
+            if x * b != y * a:
+                return x * b, y * a
+        return 0, 0
+
     def __lt__(self, other):
-        return self.coords < self._check(other).coords
+        l, r = self._cross(other)
+        return l < r
 
     def __le__(self, other):
-        return self.coords <= self._check(other).coords
+        l, r = self._cross(other)
+        return l <= r
 
     def __gt__(self, other):
-        return self.coords > self._check(other).coords
+        l, r = self._cross(other)
+        return l > r
 
     def __ge__(self, other):
-        return self.coords >= self._check(other).coords
+        l, r = self._cross(other)
+        return l >= r
 
     def __str__(self):
-        if len(self.coords) == 1:
+        if len(self.num) == 1:
             return str(self.coords[0])
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
     def __repr__(self):
         return f"GroupElement({self})"
+
+
+def _raw(num: tuple, den: int) -> GroupElement:
+    """A GroupElement from numerators and a denominator already in lowest terms."""
+    out = object.__new__(GroupElement)
+    out.num = num
+    out.den = den
+    return out
+
+
+def _reduced(num: tuple, den: int) -> GroupElement:
+    """A GroupElement from numerators over ``den > 0``, brought to lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple([x // g for x in num])
+        den //= g
+    return _raw(num, den)
 
 
 class _Row:
@@ -182,19 +261,20 @@ class FgSubgroup:
                 )
             gens.append(g)
         self.generators = tuple(gens)
-        self._scale = lcm(
-            1, *(c.denominator for g in gens for c in g.coords)
+        # the generators as integer vectors of the lattice Z^d / _scale
+        self._scale = lcm(1, *(g.den for g in gens))
+        self._vecs = tuple(
+            tuple([x * (self._scale // g.den) for x in g.num]) for g in gens
         )
         self._rows = self._reduce()
 
     def _reduce(self):
-        k = len(self.generators)
+        k = len(self._vecs)
         pivot_row: dict[int, _Row] = {}
-        for i, g in enumerate(self.generators):
-            vec = [int(c * self._scale) for c in g.coords]
+        for i, vec in enumerate(self._vecs):
             coeffs = [0] * k
             coeffs[i] = 1
-            row = _Row(vec, coeffs)
+            row = _Row(list(vec), coeffs)
             while row.pivot is not None:
                 j = row.pivot
                 hit = pivot_row.get(j)
@@ -225,24 +305,23 @@ class FgSubgroup:
     def decompose(self, a: GroupElement):
         """Integer witness ``n`` with ``a == sum(n_i * g_i)``, or None."""
         self._check_dim(a)
-        vec = []
-        for c in a.coords:
-            s = c * self._scale
-            if s.denominator != 1:
-                return None
-            vec.append(int(s))
-        coeffs = [0] * len(self.generators)
-        row = _Row(vec, coeffs)
+        m, rem = divmod(self._scale, a.den)
+        if rem:
+            return None
+        vec = [m * x for x in a.num]
+        witness = [0] * len(self._vecs)
         for r in self._rows:
             j = r.pivot
-            if row.vec[j] == 0:
+            x = vec[j]
+            if x == 0:
                 continue
-            if row.vec[j] % r.vec[j] != 0:
+            q, rem = divmod(x, r.vec[j])
+            if rem:
                 return None
-            row.combine(r, row.vec[j] // r.vec[j])
-        if any(row.vec):
+            vec = [x - q * y for x, y in zip(vec, r.vec)]
+            witness = [n + q * c for n, c in zip(witness, r.coeffs)]
+        if any(vec):
             return None
-        witness = [-c for c in row.coeffs]
         if self.recombine(witness) != a:
             raise RuntimeError(
                 f"witness {witness} of {a} in {self!r} recombines to "
@@ -254,12 +333,13 @@ class FgSubgroup:
         return self.decompose(a) is not None
 
     def recombine(self, witness) -> GroupElement:
-        if len(witness) != len(self.generators):
+        if len(witness) != len(self._vecs):
             raise ValueError("witness length does not match generator count")
-        total = GroupElement.zero(self.dim)
-        for n, g in zip(witness, self.generators):
-            total = total + n * g
-        return total
+        total = [0] * self.dim
+        for n, vec in zip(witness, self._vecs):
+            if n:
+                total = [t + n * x for t, x in zip(total, vec)]
+        return _reduced(tuple(total), self._scale)
 
     def min_multiple(self, g: GroupElement):
         """Least n >= 2 with ``n*g`` in the subgroup, or None if there is none.
@@ -270,7 +350,7 @@ class FgSubgroup:
         itself not to be a member.
         """
         self._check_dim(g)
-        vec = [c * self._scale for c in g.coords]
+        vec = [Fraction(x * self._scale, g.den) for x in g.num]
         coords = []
         for r in self._rows:
             q = vec[r.pivot] / r.vec[r.pivot]

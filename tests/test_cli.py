@@ -131,6 +131,21 @@ class TestCounterexample:
         )
         assert "verdict kind=DIVISIBILITY detail=-" in lines
 
+    def test_divisibility_is_not_assessed_on_a_conflict(self, capsys):
+        # degree 6 is divisible by lcm(2, 3); a CONFLICT stops before the
+        # divisibility step, so the field is "-", never a made-up false
+        caveat = Path(__file__).resolve().parent / "golden" / "setups" / "analyzer_caveat.vt"
+        for setup, verdict, holds in (
+            (setup_path("counterexample_conflict.vt"), "CONFLICT", "-"),
+            (str(caveat), "CONFLICT", "-"),
+            (setup_path("counterexample_pool.vt"), "DIVISIBILITY", "true"),
+        ):
+            rc, out, _ = run(capsys, "counterexample", "--setup", setup, "--machine")
+            lines = out.splitlines()
+            assert f"divisibility lcm=6 holds={holds}" in lines
+            assert any(line.startswith(f"verdict kind={verdict} ") for line in lines)
+            assert rc == (1 if verdict == "CONFLICT" else 0)
+
 
 class TestErrorPaths:
     def test_missing_file_exits_2(self, capsys):

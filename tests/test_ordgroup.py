@@ -32,6 +32,14 @@ class TestGroupElement:
         with pytest.raises(ValueError):
             GroupElement(())
 
+    def test_inexact_coordinates_rejected(self):
+        # 0.1 is the binary fraction 3602879701896397/36028797018963968
+        for spelling in ((0.1,), 0.1, (1, 0.5)):
+            with pytest.raises(TypeError, match=r"coordinate 0\.[15] of type float"):
+                GroupElement(spelling)
+        with pytest.raises(ValueError, match="'x' is not a rational number"):
+            GroupElement(("x",))
+
     def test_parse_oracles(self):
         assert GroupElement.parse("1/2") == GroupElement(Fraction(1, 2))
         assert GroupElement.parse("(1, -1/2)") == g(1, Fraction(-1, 2))
@@ -67,6 +75,9 @@ class TestGroupElement:
     def test_hash_agrees_with_eq(self):
         assert hash(g(1, 2)) == hash(g(1, 2))
         assert hash(GroupElement(Fraction(2, 4))) == hash(GroupElement(Fraction(1, 2)))
+        half = GroupElement(Fraction(1, 2))
+        assert half + half == GroupElement(1) and hash(half + half) == hash(GroupElement(1))
+        assert str(half + half) == "1" and (half + half).coords == (Fraction(1),)
 
     def test_lex_order_oracles(self):
         # the first coordinate dominates
@@ -281,3 +292,94 @@ def test_invariant_errors_survive_optimized_mode():
     )
     assert proc.returncode == 1
     assert "RuntimeError: witness [3] of 3 in FgSubgroup(dim=1, [1]) recombines to 0" in proc.stderr
+
+
+# -- differential check against plain tuples of Fractions --------------------
+#
+# The oracle below never touches GroupElement internals: a point of Q^d is a
+# tuple of Fractions, added and scaled coordinatewise and ordered by Python's
+# own lexicographic tuple comparison.
+
+def _o_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _o_scale(n, a):
+    return tuple(n * x for x in a)
+
+
+def _o_combine(ns, vecs, dim):
+    total = (0,) * dim
+    for n, v in zip(ns, vecs):
+        total = _o_add(total, _o_scale(n, v))
+    return total
+
+
+def _o_str(a):
+    return str(a[0]) if len(a) == 1 else "(" + ", ".join(str(x) for x in a) + ")"
+
+
+# denominators 1..12 mix 2-, 3-, 5- and 7-parts within one vector
+_diff_coord = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def _oracle_points(draw, count):
+    dim = draw(st.integers(1, 3))
+    vec = st.tuples(*[_diff_coord] * dim)
+    return [draw(vec) for _ in range(count)]
+
+
+@settings(max_examples=300)
+@given(_oracle_points(2), st.integers(-7, 7))
+def test_group_element_matches_fraction_tuple_oracle(points, n):
+    a, b = points
+    ea, eb = GroupElement(a), GroupElement(b)
+    assert ea.coords == a and eb.coords == b
+    assert (ea + eb).coords == _o_add(a, b)
+    assert (ea - eb).coords == _o_add(a, _o_scale(-1, b))
+    assert (-ea).coords == _o_scale(-1, a)
+    assert (n * ea).coords == _o_scale(n, a) == (ea * n).coords
+    assert (ea < eb) == (a < b) and (ea <= eb) == (a <= b)
+    assert (ea > eb) == (a > b) and (ea >= eb) == (a >= b)
+    assert (ea == eb) == (a == b)
+    assert str(ea) == _o_str(a)
+    assert GroupElement.parse(str(ea)) == ea
+
+
+@settings(max_examples=300)
+@given(_oracle_points(2))
+def test_equal_points_built_differently_are_equal_and_hash_alike(points):
+    a, b = points
+    whole = GroupElement(a)
+    # the same point as a sum of two parts, as six times its sixth, from
+    # strings, and copied from another element
+    rest = tuple(x - y for x, y in zip(a, b))
+    for other in (
+        GroupElement(b) + GroupElement(rest),
+        6 * GroupElement(tuple(x / 6 for x in a)),
+        GroupElement(tuple(str(x) for x in a)),
+        GroupElement(whole),
+    ):
+        assert other == whole and hash(other) == hash(whole)
+        assert other.coords == a
+
+
+@settings(max_examples=300)
+@given(_oracle_points(4), st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+def test_decompose_round_trip_matches_oracle(points, ns):
+    *gens, offset = points
+    dim = len(offset)
+    G = FgSubgroup(dim, [GroupElement(v) for v in gens])
+    target = _o_combine(ns, gens, dim)
+    a = GroupElement(target)
+    w = G.decompose(a)
+    assert w is not None and len(w) == len(gens)
+    assert _o_combine(w, gens, dim) == target
+    assert G.recombine(w) == a and G.recombine(w).coords == target
+    # generator denominators are at most 12, so no lattice point has a 13 or 17
+    shifted = GroupElement(_o_add(target, (Fraction(1, 13),) + (Fraction(1, 17),) * (dim - 1)))
+    assert G.decompose(shifted) is None
+    # whatever witness an arbitrary point gets must recombine to it exactly
+    w = G.decompose(GroupElement(offset))
+    assert w is None or _o_combine(w, gens, dim) == offset
