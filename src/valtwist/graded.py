@@ -21,8 +21,6 @@ lift z' of the coefficient a, the term a·t^γ pulls back to in_v(ε(γ)·z').
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DegreeMismatchError, DomainError, LiftingError
 from .mpoly import RationalFunction, as_rational_function
 from .ordgroup import GroupElement
@@ -246,7 +244,7 @@ def constant_lift(coeff: ResidueElement) -> RationalFunction:
         raise LiftingError(f"residue class {coeff} is not a rational constant")
     if c == 0:
         raise LiftingError("the zero class has no value-zero lift")
-    return RationalFunction(Fraction(c))
+    return RationalFunction(c)
 
 
 def psi_inverse_term(eps: ChoiceFunction, gamma: GroupElement, coeff: ResidueElement, lift=constant_lift):

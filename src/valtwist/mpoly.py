@@ -5,8 +5,17 @@ Representation invariants
 * :class:`Monomial` holds a tuple of ``(variable, exponent)`` pairs with
   strictly positive integer exponents, sorted in variable order; the empty
   tuple is the monomial 1.
-* :class:`Polynomial` maps monomials to nonzero ``Fraction`` coefficients;
-  the zero polynomial is the empty map.
+* :class:`Polynomial` maps monomials to nonzero coefficients; the zero
+  polynomial is the empty map.  A coefficient is an ``int`` or a
+  ``Fraction``, never anything else.  Every entry point (the constructor,
+  ``constant``, ``term``, ``scale``, the parser) stores an integral value as
+  an ``int``, so the common integer case never touches ``Fraction``; ring
+  arithmetic keeps ``int * int`` an ``int`` and may leave an integral
+  ``Fraction`` behind, which is harmless because ``3 == Fraction(3)`` and
+  both hash alike, so term maps compare equal and print the same.
+* Coefficients are divided only through one exact helper, so two ``int``
+  operands give an ``int`` or a ``Fraction``, never a ``float``.  Any other
+  coefficient type (a ``float`` included) raises ``TypeError``.
 * :class:`RationalFunction` is a pair ``num / den`` with ``den != 0``.  On
   construction the common monomial content and the leading coefficient of
   ``den`` are cancelled, so ``den`` is lex-monic and at most one of ``num``,
@@ -25,8 +34,9 @@ Text format
 The printers emit sums of terms like ``3/4*x2^2*y - x3`` with an optional
 single `` / `` separating numerator from denominator.  The tokenizer treats
 a slash *directly between two integers* as a rational coefficient; any
-other slash is the fraction bar.  Exponents must be positive integers, so
-``x^2/3`` is rejected — write ``x^2 / 3``.  print -> parse is the identity.
+other slash is the fraction bar.  An exponent must be a plain positive
+integer literal, so ``x^2/3`` and ``x^4/2`` are rejected — write
+``x^2 / 3``.  print -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -44,6 +54,27 @@ __all__ = [
     "parse_polynomial",
     "parse_rational_function",
 ]
+
+
+def _coeff(c):
+    """``c`` as a coefficient: an ``int`` when integral, else a ``Fraction``."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, (int, Fraction)):
+        return _coeff(Fraction(c))
+    raise TypeError(
+        f"coefficient {c!r} of type {type(c).__name__} is not an int or a Fraction"
+    )
+
+
+def _div(a, b):
+    """The exact quotient of two coefficients, as an ``int`` when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coeff(Fraction(a, b))
 
 
 _VAR_KEYS: dict[str, tuple] = {}
@@ -220,9 +251,9 @@ class Polynomial:
         if terms is None:
             terms = {}
         elif not isinstance(terms, dict):
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, int | Fraction] = {}
             for mono, coeff in terms:
-                c = acc.get(mono, 0) + Fraction(coeff)
+                c = _coeff(acc.get(mono, 0) + _coeff(coeff))
                 if c:
                     acc[mono] = c
                 else:
@@ -236,20 +267,20 @@ class Polynomial:
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls({_ONE_MONOMIAL: Fraction(1)})
+        return cls({_ONE_MONOMIAL: 1})
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coeff(c)
         return cls({_ONE_MONOMIAL: c} if c else {})
 
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> "Polynomial":
-        return cls({Monomial(((name, exp),)): Fraction(1)})
+        return cls({Monomial(((name, exp),)): 1})
 
     @classmethod
     def term(cls, mono: Monomial, coeff) -> "Polynomial":
-        c = Fraction(coeff)
+        c = _coeff(coeff)
         return cls({mono: c} if c else {})
 
     def is_zero(self) -> bool:
@@ -258,9 +289,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE_MONOMIAL in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return self.terms[_ONE_MONOMIAL]
@@ -351,7 +382,7 @@ class Polynomial:
         if len(self.terms) == 1:
             (mono, coeff), = self.terms.items()
             return Polynomial({m.mul(mono): c * coeff for m, c in other.terms.items()})
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
@@ -383,10 +414,10 @@ class Polynomial:
         return self.terms == other.terms
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return Polynomial.zero()
-        return Polynomial({m: coeff * c for m, coeff in self.terms.items()})
+        return Polynomial({m: _coeff(coeff * c) for m, coeff in self.terms.items()})
 
     def monomial_content(self) -> Monomial:
         """Componentwise minimum of the exponent vectors (1 for the zero polynomial)."""
@@ -401,13 +432,13 @@ class Polynomial:
                 break
         return content
 
-    def numeric_content(self) -> Fraction:
-        """Positive fraction g with self/g integral, primitive; 0 for the zero polynomial."""
+    def numeric_content(self) -> int | Fraction:
+        """Positive rational g with self/g integral, primitive; 0 for the zero polynomial."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         num = gcd(*(c.numerator for c in self.terms.values()))
         den = lcm(*(c.denominator for c in self.terms.values()))
-        return Fraction(num, den)
+        return _div(num, den)
 
     def divide_monomial(self, mono: Monomial) -> "Polynomial":
         acc = {}
@@ -458,7 +489,7 @@ class RationalFunction:
             den = den.divide_monomial(content)
         _, lead = den.leading()
         if lead != 1:
-            scale = 1 / lead
+            scale = _div(1, lead)
             num = num.scale(scale)
             den = den.scale(scale)
         self.num = num
@@ -483,8 +514,8 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+    def constant_value(self) -> int | Fraction:
+        return _div(self.num.constant_value(), self.den.constant_value())
 
     def is_polynomial(self) -> bool:
         return self.den == Polynomial.one()
@@ -610,16 +641,17 @@ def _int_nth_root(m: int, n: int) -> int | None:
     return x if x**n == m else None
 
 
-def _rational_nth_root(c: Fraction, n: int) -> Fraction | None:
+def _rational_nth_root(c, n: int):
+    """Exact n-th root of the coefficient ``c``, or None."""
     if c == 0:
-        return Fraction(0)
+        return 0
     if c < 0 and n % 2 == 0:
         return None
     p = _int_nth_root(abs(c.numerator), n)
     q = _int_nth_root(c.denominator, n)
     if p is None or q is None:
         return None
-    return Fraction(-p if c < 0 else p, q)
+    return _div(-p if c < 0 else p, q)
 
 
 def nth_root(f: Polynomial, n: int) -> Polynomial | None:
@@ -659,7 +691,7 @@ def nth_root(f: Polynomial, n: int) -> Polynomial | None:
         um = hm.div(denom_m)
         if um is None or not um < last:
             return None
-        g = g + Polynomial.term(um, hc / denom_c)
+        g = g + Polynomial.term(um, _div(hc, denom_c))
         last = um
         h = f - g**n
     return g
@@ -689,6 +721,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _tokenize(text: str):
+    """Tokens ``(kind, value)``: an ``"int"`` literal, a ``"ratio"`` literal
+    ``p/q`` (value: its text), a ``"name"``, or one of ``+ - * ^ /``."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -704,10 +738,10 @@ def _tokenize(text: str):
                 k = j + 1
                 while k < n and text[k].isdigit():
                     k += 1
-                tokens.append(("num", Fraction(int(text[i:j]), int(text[j + 1 : k]))))
+                tokens.append(("ratio", text[i:k]))
                 i = k
             else:
-                tokens.append(("num", Fraction(int(text[i:j]))))
+                tokens.append(("int", int(text[i:j])))
                 i = j
             continue
         m = _NAME_RE.match(text, i)
@@ -740,19 +774,22 @@ def _parse_poly_tokens(tokens, text: str) -> Polynomial:
 
     def parse_factor():
         kind, value = take() if pos < len(tokens) else fail("unexpected end")
-        if kind == "num":
+        if kind == "int":
             return Polynomial.constant(value)
+        if kind == "ratio":
+            p, q = value.split("/")
+            return Polynomial.constant(_div(int(p), int(q)))
         if kind != "name":
             fail(f"unexpected {value!r}")
         exp = 1
         if peek() == "^":
             take()
-            if peek() != "num":
+            if pos == len(tokens):
                 fail("exponents must be positive integers")
-            _, e = take()
-            if e.denominator != 1 or e <= 0:
+            kind, e = take()
+            if kind != "int" or e <= 0:
                 fail(f"exponents must be positive integers, got {e}")
-            exp = int(e)
+            exp = e
         return Polynomial.variable(value, exp)
 
     def parse_term():

@@ -220,6 +220,13 @@ def _reduced(num: tuple, den: int) -> GroupElement:
     return _raw(num, den)
 
 
+def _common_lattice(elements) -> tuple[int, list[tuple]]:
+    """``(scale, vecs)``: the lcm of the denominators and each element's
+    integer vector of the lattice Z^d / scale, i.e. ``g == _reduced(vec, scale)``."""
+    scale = lcm(1, *(g.den for g in elements))
+    return scale, [tuple([x * (scale // g.den) for x in g.num]) for g in elements]
+
+
 class _Row:
     """An integer vector together with the combination of generators producing it."""
 
@@ -262,10 +269,8 @@ class FgSubgroup:
             gens.append(g)
         self.generators = tuple(gens)
         # the generators as integer vectors of the lattice Z^d / _scale
-        self._scale = lcm(1, *(g.den for g in gens))
-        self._vecs = tuple(
-            tuple([x * (self._scale // g.den) for x in g.num]) for g in gens
-        )
+        self._scale, vecs = _common_lattice(gens)
+        self._vecs = tuple(vecs)
         self._rows = self._reduce()
 
     def _reduce(self):

@@ -53,6 +53,9 @@ def product_safe_support(eps: ChoiceFunction, candidates) -> list[GroupElement]:
     dropped first, so the result is deterministic.
     """
     safe = sorted(set(candidates))
+    if isinstance(eps, GeneratorChoice) and all(eps.contains(g) for g in safe):
+        # the domain is a subgroup, closed under +: no sum can leave it
+        return safe
     while safe:
         bad = None
         for a in safe:

@@ -4,7 +4,10 @@ A :class:`MonomialValuation` assigns every variable a weight in a
 lex-ordered Q^d.  A monomial takes the exponent-weighted sum of its
 variables' weights, a nonzero polynomial the minimum over its terms, and a
 quotient the difference — well defined on the field because the valuation
-is multiplicative.
+is multiplicative.  The weights are scaled once to integer vectors over the
+lcm of their denominators, so a monomial value is one integer dot product,
+and over that shared positive denominator the lex order of the numerator
+tuples is the order of the values.
 
 The initial part of a polynomial keeps exactly the minimal-value terms.
 Because a term-by-term product of two initial polynomials concentrates in
@@ -22,14 +25,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatchError
-from .mpoly import Polynomial, RationalFunction, as_rational_function, rf_nth_root
-from .ordgroup import GroupElement
+from .mpoly import Polynomial, RationalFunction, _div, as_rational_function, rf_nth_root
+from .ordgroup import GroupElement, _common_lattice, _reduced
 
 __all__ = ["MonomialValuation", "ResidueElement"]
 
 
 class MonomialValuation:
-    __slots__ = ("weights", "dim", "_zero")
+    __slots__ = ("weights", "dim", "_zero", "_scale", "_vecs")
 
     def __init__(self, weights: dict):
         if not weights:
@@ -48,6 +51,9 @@ class MonomialValuation:
         self.weights = coerced
         self.dim = dim
         self._zero = GroupElement.zero(dim)
+        # the weights as integer vectors of the lattice Z^d / _scale
+        self._scale, vecs = _common_lattice(coerced.values())
+        self._vecs = dict(zip(coerced, vecs))
 
     @property
     def group_zero(self) -> GroupElement:
@@ -56,39 +62,49 @@ class MonomialValuation:
     def variables(self):
         return sorted(self.weights)
 
-    def monomial_value(self, mono) -> GroupElement:
-        total = self._zero
+    def _lattice(self, mono) -> tuple:
+        """v(mono) as integer numerators over ``_scale``."""
+        vecs = self._vecs
+        total = None
         for var, e in mono.exps:
-            w = self.weights.get(var)
-            if w is None:
+            vec = vecs.get(var)
+            if vec is None:
                 raise ValueError(f"no weight configured for variable {var!r}")
-            total = total + e * w
-        return total
+            if total is None:
+                total = [e * x for x in vec]
+            else:
+                total = [t + e * x for t, x in zip(total, vec)]
+        return self._zero.num if total is None else tuple(total)
 
-    def polynomial_value(self, p: Polynomial) -> GroupElement:
+    def _min_lattice(self, p: Polynomial) -> tuple:
         if p.is_zero():
             raise ValueError("the zero polynomial has no value")
-        return min(self.monomial_value(m) for m in p.terms)
+        return min(map(self._lattice, p.terms))
+
+    def monomial_value(self, mono) -> GroupElement:
+        return _reduced(self._lattice(mono), self._scale)
+
+    def polynomial_value(self, p: Polynomial) -> GroupElement:
+        return _reduced(self._min_lattice(p), self._scale)
 
     def value(self, f) -> GroupElement:
         f = as_rational_function(f)
         if f.is_zero():
             raise ValueError("zero has no value")
-        return self.polynomial_value(f.num) - self.polynomial_value(f.den)
+        num, den = self._min_lattice(f.num), self._min_lattice(f.den)
+        return _reduced(tuple([a - b for a, b in zip(num, den)]), self._scale)
 
     def initial_part(self, p: Polynomial) -> Polynomial:
         if p.is_zero():
             raise ValueError("the zero polynomial has no initial part")
-        cut = self.polynomial_value(p)
-        return Polynomial(
-            {m: c for m, c in p.terms.items() if self.monomial_value(m) == cut}
-        )
+        values = {m: self._lattice(m) for m in p.terms}
+        cut = min(values.values())
+        return Polynomial({m: c for m, c in p.terms.items() if values[m] == cut})
 
     def is_initial(self, p: Polynomial) -> bool:
         if p.is_zero():
             return False
-        values = {self.monomial_value(m) for m in p.terms}
-        return len(values) == 1
+        return len(set(map(self._lattice, p.terms))) == 1
 
     def initial_rf(self, f) -> RationalFunction:
         """The quotient of initial parts; same initial class, canonical shape."""
@@ -121,7 +137,6 @@ class MonomialValuation:
         return ResidueElement(self, Polynomial.one(), Polynomial.one())
 
     def residue_constant(self, c) -> "ResidueElement":
-        c = Fraction(c)
         return ResidueElement(self, Polynomial.constant(c), Polynomial.one())
 
     def __eq__(self, other):
@@ -245,17 +260,17 @@ class ResidueElement:
             return None
         return rf_nth_root(self.rep(), n)
 
-    def as_rational(self) -> Fraction | None:
+    def as_rational(self) -> int | Fraction | None:
         """The class as a rational number, or None if it is not constant."""
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if self.num.is_constant() and self.den.is_constant():
-            return self.num.constant_value() / self.den.constant_value()
+            return _div(self.num.constant_value(), self.den.constant_value())
         nm, nc = self.num.leading()
         dm, dc = self.den.leading()
         if nm != dm:
             return None
-        c = nc / dc
+        c = _div(nc, dc)
         return c if self.num == self.den.scale(c) else None
 
     def __str__(self):

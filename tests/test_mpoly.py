@@ -132,6 +132,41 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             P("x") ** -1
 
+    def test_inexact_coefficients_rejected(self):
+        m = Monomial((("x", 1),))
+        for build in (
+            lambda: Polynomial.constant(0.1),
+            lambda: Polynomial.term(m, 0.1),
+            lambda: P("x + 1").scale(0.1),
+            lambda: Polynomial([(m, 0.1)]),
+        ):
+            with pytest.raises(TypeError, match="0.1"):
+                build()
+
+    def test_integral_coefficients_are_ints(self):
+        m = Monomial((("x", 1),))
+        for p in (
+            Polynomial.constant(Fraction(4, 2)),
+            Polynomial.term(m, Fraction(-3)),
+            Polynomial([(m, Fraction(1, 2)), (m, Fraction(1, 2))]),
+            P("4/2*x + 3"),
+            P("1/2*x + 1").scale(2),
+            Polynomial.one(),
+            Polynomial.variable("x"),
+        ):
+            assert all(type(c) is int for c in p.terms.values()), repr(p)
+        assert type(P("1/2*x").terms[m]) is Fraction
+        f = RF("x / 2*y + 4")
+        assert str(f) == "1/2*x / y + 2"
+        assert type(f.den.leading()[1]) is int and type(f.den.trailing()[1]) is int
+
+    def test_exact_division_never_gives_a_float(self):
+        assert type(RationalFunction(2).constant_value()) is int
+        c = RationalFunction(Polynomial.constant(2), Polynomial.constant(4)).constant_value()
+        assert c == Fraction(1, 2) and type(c) is Fraction
+        assert type(P("2*x + 4*y").numeric_content()) is int
+        assert nth_root(P("1/4*x^2 + x + 1"), 2) in (P("1/2*x + 1"), P("-1/2*x - 1"))
+
 
 class TestGrammar:
     def test_slash_between_integers_is_a_coefficient(self):
@@ -152,8 +187,9 @@ class TestGrammar:
             RF("x / y / z")
 
     def test_rational_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            RF("x^2/3")
+        for bad in ("x^2/3", "x^4/2", "x^6/3*y"):
+            with pytest.raises(ValueError, match="exponents must be positive integers"):
+                RF(bad)
 
     def test_malformed_inputs(self):
         for bad in ("", "x +", "(x)", "x^-1", "x^0", "2x", "x*", "^2"):
@@ -259,3 +295,87 @@ def test_nth_root_recovers_perfect_powers(p, n):
 def test_rf_text_round_trip(p, q):
     f = RationalFunction(p, q)
     assert parse_rational_function(str(f)) == f
+
+
+# --- differential oracle against sympy ---------------------------------------
+#
+# Coefficients mix ints and Fractions and enter through the coercing list
+# constructor; every operation is replayed in sympy and compared there.
+
+_mixed_coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+).filter(bool)
+_mixed_polys = st.dictionaries(_monos, _mixed_coeffs, min_size=1, max_size=4).map(
+    lambda d: Polynomial(list(d.items()))
+)
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sp, x):
+    if isinstance(x, RationalFunction):
+        return _to_sympy(sp, x.num) / _to_sympy(sp, x.den)
+    total = sp.Integer(0)
+    for mono, c in x.terms.items():
+        term = sp.Rational(c.numerator, c.denominator)
+        for var, e in mono.exps:
+            term *= sp.Symbol(var) ** e
+        total += term
+    return total
+
+
+def _assert_exact(p):
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction), f"{c!r} in {p} is a {type(c).__name__}"
+    assert parse_polynomial(str(p)) == p
+
+
+def _assert_exact_rf(f):
+    _assert_exact(f.num)
+    _assert_exact(f.den)
+    assert parse_rational_function(str(f)) == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_polys, _mixed_polys)
+def test_polynomial_ring_matches_sympy(sp, p, q):
+    for r, expected in ((p + q, _to_sympy(sp, p) + _to_sympy(sp, q)),
+                        (p * q, _to_sympy(sp, p) * _to_sympy(sp, q)),
+                        (p - q, _to_sympy(sp, p) - _to_sympy(sp, q))):
+        _assert_exact(r)
+        assert sp.expand(_to_sympy(sp, r) - expected) == 0
+    assert (p == q) == (sp.expand(_to_sympy(sp, p) - _to_sympy(sp, q)) == 0)
+    # equal polynomials reached two ways
+    assert (p + q) * p == p * p + q * p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_polys, _mixed_polys, _mixed_polys, _mixed_polys)
+def test_rational_function_product_and_equality_match_sympy(sp, a, b, c, d):
+    f, g = RationalFunction(a, b), RationalFunction(c, d)
+    fg = f * g
+    _assert_exact_rf(f)
+    _assert_exact_rf(fg)
+    expected = _to_sympy(sp, a) * _to_sympy(sp, c) / (_to_sympy(sp, b) * _to_sympy(sp, d))
+    assert sp.cancel(_to_sympy(sp, fg) - expected) == 0
+    same = sp.cancel(_to_sympy(sp, f) - _to_sympy(sp, g)) == 0
+    assert (f == g) == same
+    # a common factor that is not a monomial is not cancelled, yet compares equal
+    assert RationalFunction(a * c, b * c) == f
+    assert fg / g == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_polys, st.sampled_from([2, 3, 4]))
+def test_nth_root_of_perfect_powers_round_trips(sp, p, n):
+    f = p ** n
+    _assert_exact(f)
+    g = nth_root(f, n)
+    assert g is not None
+    _assert_exact(g)
+    assert g == p or (n % 2 == 0 and g == -p)
+    assert sp.expand(_to_sympy(sp, g) ** n - _to_sympy(sp, f)) == 0

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from valtwist.constructions import extend_choice, free_pair
 from valtwist.errors import DomainError
 from valtwist.mpoly import Polynomial, RationalFunction, parse_rational_function
 from valtwist.ordgroup import GroupElement
+from valtwist.suites import product_safe_support
 from valtwist.twist import (
     GeneratorChoice,
     TableChoice,
@@ -220,3 +222,55 @@ def test_cocycle_identity_for_free_choices(a1, a2, b1, b2, c1, c2):
     lhs = eps.twisting(a, b) * eps.twisting(a + b, c)
     rhs = eps.twisting(a, b + c) * eps.twisting(b, c)
     assert lhs == rhs
+
+
+def _first_bad(eps, safe):
+    for a in safe:
+        for b in safe:
+            if not eps.contains(a + b):
+                return max(a, b)
+            for c in safe:
+                if not eps.contains(a + b + c):
+                    return max(a, b, c)
+    return None
+
+
+def _reference_support(eps, candidates):
+    """The full cubic scan: drop the largest degree of the first sum outside the domain."""
+    safe = sorted(set(candidates))
+    while (bad := _first_bad(eps, safe)) is not None:
+        safe = [g for g in safe if g != bad]
+    return safe
+
+
+class TestProductSafeSupport:
+    def test_free_choice_keeps_every_candidate(self, free):
+        cands = free.domain_elements(2)
+        shuffled = list(reversed(cands)) + cands[:3]
+        assert product_safe_support(free, shuffled) == _reference_support(free, cands)
+        assert product_safe_support(free, shuffled) == sorted(cands)
+
+    def test_chain_with_a_step(self):
+        base = free_pair(MonomialValuation({"z": Fraction(1, 6)}), [GroupElement(1)], ["64*z^6"])
+        eps = extend_choice(base, GroupElement(Fraction(1, 2)), "z^3").choice
+        assert eps.steps
+        cands = eps.domain_elements(2)
+        assert product_safe_support(eps, cands) == _reference_support(eps, cands)
+
+    def test_candidate_outside_the_subgroup_falls_back_to_the_scan(self, vlex):
+        sub = GeneratorChoice(vlex, [GroupElement((2, 0)), GroupElement((0, 1))], ["x^2", "y"])
+        cands = sub.domain_elements(2) + [GroupElement((1, 0)), GroupElement((3, 1))]
+        got = product_safe_support(sub, cands)
+        assert got == _reference_support(sub, cands)
+        assert GroupElement((1, 0)) not in got and GroupElement((3, 1)) not in got
+        assert GroupElement((2, 0)) in got
+
+    def test_table_drops_its_largest_offending_degree_first(self, doubled):
+        cands = doubled.domain_elements(6)
+        got = product_safe_support(doubled, cands)
+        assert got == _reference_support(doubled, cands)
+        assert got == [GroupElement(k) for k in range(3)]
+        # 3 + 3 = 6 stays in the table, but 0 + 1 + 6 leaves it: 6 goes before 3
+        assert product_safe_support(doubled, [GroupElement(k) for k in (0, 1, 3, 6)]) == [
+            GroupElement(k) for k in (0, 1)
+        ]

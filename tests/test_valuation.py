@@ -141,6 +141,11 @@ class TestResidues:
         assert v.residue_constant(Fraction(-3, 4)).as_rational() == Fraction(-3, 4)
         assert v.residue_constant(0).is_zero()
 
+    def test_inexact_residue_constant_rejected(self, v):
+        with pytest.raises(TypeError, match="0.1"):
+            v.residue_constant(0.1)
+        assert type(v.residue_constant(Fraction(6, 3)).as_rational()) is int
+
     def test_as_rational_none_for_non_constant(self, v):
         assert v.residue(RF("y^2 / x")).as_rational() is None
 
