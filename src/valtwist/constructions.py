@@ -19,8 +19,10 @@ the chain :class:`GeneratorChoice`: free generators, then radical steps.
 The analyzer mechanizes the finite-prime part of the degree obstruction:
 with weights v(x_p) = 1/p, any choice function must satisfy the forced
 identity eps(1) == eps(1/p)**p in initial form, hence p | deg(eps(1)) for
-every listed prime.  Verdicts are per finite prime set; the step to all
-primes at once is reported as narrative, not machine-checked.
+every listed prime.  Without candidates, each monomial eps(1) up to a
+degree bound is tried, and the identity forces every eps(1/p).  Verdicts
+are per finite prime set; the step to all primes at once is reported as
+narrative, not machine-checked.
 """
 
 from __future__ import annotations
@@ -167,35 +169,29 @@ def counterexample_valuation(primes) -> MonomialValuation:
     return MonomialValuation({f"x{p}": Fraction(1, p) for p in primes})
 
 
-def _split_monomial(primes, exps, positive: bool) -> Monomial:
-    pairs = []
-    for p, e in zip(primes, exps):
-        k = e if positive else -e
-        if k > 0:
-            pairs.append((f"x{p}", k))
-    return Monomial(pairs)
-
-
 def monomial_pool(primes, target: Fraction, degree_bound: int) -> list[RationalFunction]:
     """All unit-coefficient quotients of the x_p with value ``target`` and
     degree at most ``degree_bound``, in exponent order."""
     primes = list(primes)
+    # sum(e_p / p) == target, scaled to integers by lcm(P) * denominator
+    weights = [lcm(*primes) * target.denominator // p for p in primes]
+    goal = lcm(*primes) * target.numerator
     out: list[RationalFunction] = []
 
-    def rec(i: int, exps: list[int], value: Fraction, pos: int, neg: int):
+    def rec(i: int, exps: list[int], value: int, pos: int, neg: int):
         if pos > degree_bound or neg > degree_bound:
             return
         if i == len(primes):
-            if value == target:
-                num = Polynomial.term(_split_monomial(primes, exps, True), 1)
-                den = Polynomial.term(_split_monomial(primes, exps, False), 1)
-                out.append(RationalFunction(num, den))
+            if value == goal:
+                num = Monomial([(f"x{p}", e) for p, e in zip(primes, exps) if e > 0])
+                den = Monomial([(f"x{p}", -e) for p, e in zip(primes, exps) if e < 0])
+                out.append(RationalFunction(Polynomial.term(num, 1), Polynomial.term(den, 1)))
             return
-        p = primes[i]
+        w = weights[i]
         for e in range(-degree_bound, degree_bound + 1):
-            rec(i + 1, exps + [e], value + Fraction(e, p), pos + max(e, 0), neg + max(-e, 0))
+            rec(i + 1, exps + [e], value + e * w, pos + max(e, 0), neg + max(-e, 0))
 
-    rec(0, [], Fraction(0), 0, 0)
+    rec(0, [], 0, 0, 0)
     return out
 
 
@@ -290,8 +286,8 @@ def analyze_counterexample(primes, candidates=None, degree_bound: int = 8) -> An
     """Check the forced-identity lemmas over a finite prime set.
 
     ``candidates`` maps the degrees 1/p (one per prime) and 1 to explicit
-    field elements; without it, every joint assignment from the
-    unit-coefficient monomial pools up to ``degree_bound`` is tried.
+    field elements; without it, each unit-coefficient monomial quotient of
+    value 1 up to ``degree_bound`` is tried as eps(1), which forces eps(1/p).
     """
     primes = tuple(sorted(set(int(p) for p in primes)))
     for p in primes:
@@ -321,12 +317,11 @@ def analyze_counterexample(primes, candidates=None, degree_bound: int = 8) -> An
         )
 
     valuation = counterexample_valuation(primes)
-    unit = GroupElement(Fraction(1))
     lcm_p = lcm(*primes)
 
     if candidates is not None:
-        return _analyze_table(primes, valuation, unit, lcm_p, candidates, degree_bound)
-    return _analyze_enumeration(primes, valuation, unit, lcm_p, degree_bound)
+        return _analyze_table(primes, valuation, lcm_p, candidates)
+    return _analyze_enumeration(primes, valuation, lcm_p, degree_bound)
 
 
 def _coerce_candidates(primes, valuation, candidates) -> TableChoice:
@@ -352,10 +347,10 @@ def _coerce_candidates(primes, valuation, candidates) -> TableChoice:
         raise SetupError(f"malformed candidate table: {exc}") from None
 
 
-def _analyze_table(primes, valuation, unit, lcm_p, candidates, degree_bound) -> AnalyzerReport:
+def _analyze_table(primes, valuation, lcm_p, candidates) -> AnalyzerReport:
     raw = _coerce_candidates(primes, valuation, candidates)
     initial = make_initial(raw)
-    unit_value = initial(unit)
+    unit_value = initial(GroupElement(Fraction(1)))
     unit_degree = unit_value.total_degree()
 
     forced = []
@@ -410,32 +405,29 @@ def _analyze_table(primes, valuation, unit, lcm_p, candidates, degree_bound) -> 
     )
 
 
-def _analyze_enumeration(primes, valuation, unit, lcm_p, degree_bound) -> AnalyzerReport:
+def _analyze_enumeration(primes, valuation, lcm_p, degree_bound) -> AnalyzerReport:
     pools = {p: monomial_pool(primes, Fraction(1, p), degree_bound) for p in primes}
     unit_pool = monomial_pool(primes, Fraction(1), degree_bound)
     pool_sizes = [(f"1/{p}", len(pools[p])) for p in primes] + [("1", len(unit_pool))]
 
+    # eps(1/p) is the one pool member whose p-th power is eps(1)
+    powers = {p: [(val, val**p) for val in pools[p]] for p in primes}
     tables = []
-    all_divisible = True
-
-    def rec(i: int, chosen: list[RationalFunction]):
-        if i == len(primes):
-            for unit_value in unit_pool:
-                if all(unit_value == val**p for p, val in zip(primes, chosen)):
-                    deg = unit_value.total_degree()
-                    divisible = deg % lcm_p == 0
-                    recheck = _augmented_recheck(valuation, primes, unit_value, chosen)
-                    assignments = tuple(
-                        [(f"1/{p}", str(val)) for p, val in zip(primes, chosen)]
-                        + [("1", str(unit_value))]
-                    )
-                    tables.append(ConsistentTable(assignments, deg, divisible, recheck))
-            return
-        for val in pools[primes[i]]:
-            rec(i + 1, chosen + [val])
-
-    rec(0, [])
-    all_divisible = all(t.divisible for t in tables)
+    for unit_value in unit_pool:
+        chosen = []
+        for p in primes:
+            root = next((val for val, pw in powers[p] if pw == unit_value), None)
+            if root is None:
+                break
+            chosen.append(root)
+        else:
+            deg = unit_value.total_degree()
+            recheck = _augmented_recheck(valuation, primes, unit_value, chosen)
+            assignments = tuple(
+                [(f"1/{p}", str(val)) for p, val in zip(primes, chosen)]
+                + [("1", str(unit_value))]
+            )
+            tables.append(ConsistentTable(assignments, deg, deg % lcm_p == 0, recheck))
 
     return AnalyzerReport(
         primes=primes,
@@ -448,7 +440,7 @@ def _analyze_enumeration(primes, valuation, unit, lcm_p, degree_bound) -> Analyz
         unit_degree=None,
         degree_caveat=False,
         lcm_primes=lcm_p,
-        divisible=all_divisible,
+        divisible=all(t.divisible for t in tables),
         conflict_detail=None,
         pool_sizes=tuple(pool_sizes),
         consistent_tables=tuple(tables),

@@ -495,16 +495,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def constant(cls, c) -> "RationalFunction":
-        return cls(Polynomial.constant(c))
-
-    @classmethod
-    def variable(cls, name: str, exp: int = 1) -> "RationalFunction":
-        if exp < 0:
-            return cls(Polynomial.one(), Polynomial.variable(name, -exp))
-        return cls(Polynomial.variable(name, exp))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -777,8 +767,10 @@ def _parse_poly_tokens(tokens, text: str) -> Polynomial:
         if kind == "int":
             return Polynomial.constant(value)
         if kind == "ratio":
-            p, q = value.split("/")
-            return Polynomial.constant(_div(int(p), int(q)))
+            p, q = map(int, value.split("/"))
+            if q == 0:
+                fail("zero denominator")
+            return Polynomial.constant(_div(p, q))
         if kind != "name":
             fail(f"unexpected {value!r}")
         exp = 1
@@ -833,4 +825,6 @@ def parse_rational_function(text: str) -> RationalFunction:
     cut = slashes[0]
     num = _parse_poly_tokens(tokens[:cut], text)
     den = _parse_poly_tokens(tokens[cut + 1 :], text)
+    if den.is_zero():
+        raise ValueError(f"zero denominator in {text!r}")
     return RationalFunction(num, den)

@@ -167,7 +167,9 @@ class TestErrorPaths:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "degree,value", [("1/2", "x2^"), ("1", "a / b + c / d")], ids=["dangling-power", "two-bars"]
+        "degree,value",
+        [("1/2", "x2^"), ("1", "a / b + c / d"), ("1", "x2^2 / x2 - x2")],
+        ids=["dangling-power", "two-bars", "zero-denominator"],
     )
     def test_malformed_candidate_exits_2(self, capsys, tmp_path, degree, value):
         table = {"1/2": "x2", "1": "x2^2", degree: value}
@@ -178,6 +180,14 @@ class TestErrorPaths:
         assert rc == 2
         assert out == ""
         assert err.startswith(f"error: malformed candidate for degree {degree}:")
+
+    def test_zero_denominator_in_a_choice_entry_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "zero.vt"
+        f.write_text('[valuation]\nz = 1/6\n\n[choice base]\ngenerators {\n  "1" = "64/0*z^6"\n}\n')
+        rc, out, err = run(capsys, "ring-axioms", "--setup", str(f))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: [choice base] bad entry '1': zero denominator in '64/0*z^6'")
 
     def test_unknown_command_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,12 +1,16 @@
 """Trivialization constructions and the finite-prime analyzer."""
 
+import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from valtwist import cli
 from valtwist.constructions import (
     AnalyzerReport,
+    ConsistentTable,
+    _augmented_recheck,
     analyze_counterexample,
     counterexample_valuation,
     extend_choice,
@@ -16,7 +20,7 @@ from valtwist.constructions import (
     monomial_pool,
 )
 from valtwist.errors import RootNotFound, SetupError
-from valtwist.mpoly import parse_rational_function
+from valtwist.mpoly import Monomial, Polynomial, RationalFunction, parse_rational_function
 from valtwist.ordgroup import GroupElement
 from valtwist.twist import GeneratorChoice, TableChoice, is_trivial, semigroup_hom_check
 from valtwist.valuation import MonomialValuation
@@ -320,3 +324,75 @@ class TestMonomialPool:
         v = counterexample_valuation([2, 3])
         for f in monomial_pool([2, 3], Fraction(1, 2), 6):
             assert v.value(f) == GroupElement(Fraction(1, 2))
+
+
+def _reference_pool(primes, target, degree_bound):
+    """The exponent scan that adds one Fraction per node."""
+    out = []
+
+    def rec(i, exps, value, pos, neg):
+        if pos > degree_bound or neg > degree_bound:
+            return
+        if i == len(primes):
+            if value == target:
+                num = Monomial([(f"x{p}", e) for p, e in zip(primes, exps) if e > 0])
+                den = Monomial([(f"x{p}", -e) for p, e in zip(primes, exps) if e < 0])
+                out.append(RationalFunction(Polynomial.term(num, 1), Polynomial.term(den, 1)))
+            return
+        for e in range(-degree_bound, degree_bound + 1):
+            rec(i + 1, exps + [e], value + Fraction(e, primes[i]), pos + max(e, 0), neg + max(-e, 0))
+
+    rec(0, [], Fraction(0), 0, 0)
+    return out
+
+
+def _reference_enumeration(primes, degree_bound):
+    """Every joint assignment from the product of the pools, tried in turn."""
+    valuation = counterexample_valuation(primes)
+    pools = [_reference_pool(primes, Fraction(1, p), degree_bound) for p in primes]
+    unit_pool = _reference_pool(primes, Fraction(1), degree_bound)
+    sizes = tuple((f"1/{p}", len(pool)) for p, pool in zip(primes, pools)) + (
+        ("1", len(unit_pool)),
+    )
+    tables = []
+    for chosen in itertools.product(*pools):
+        for unit_value in unit_pool:
+            if all(unit_value == val**p for p, val in zip(primes, chosen)):
+                deg = unit_value.total_degree()
+                assignments = tuple(
+                    [(f"1/{p}", str(val)) for p, val in zip(primes, chosen)]
+                    + [("1", str(unit_value))]
+                )
+                recheck = _augmented_recheck(valuation, primes, unit_value, chosen)
+                tables.append(ConsistentTable(assignments, deg, deg % lcm(*primes) == 0, recheck))
+    return sizes, tuple(tables)
+
+
+# prime subsets of {2, 3, 5, 7} with at most three primes; bounds keep the
+# product search under a second, and {2, 3} at 12 and 14 has two tables
+_DIFFERENTIAL_CASES = [
+    ((2,), 6), ((3,), 6), ((5,), 8), ((7,), 6), ((7,), 8),
+    ((2, 3), 4), ((2, 3), 8), ((2, 3), 12), ((2, 3), 14),
+    ((2, 5), 10), ((2, 7), 14), ((3, 5), 14), ((3, 7), 14), ((5, 7), 14),
+    ((2, 3, 5), 6), ((2, 3, 7), 6), ((2, 5, 7), 8), ((3, 5, 7), 8),
+]
+
+
+class TestEnumerationAgainstProductSearch:
+    @pytest.mark.parametrize(
+        "primes,bound",
+        _DIFFERENTIAL_CASES,
+        ids=[f"{'-'.join(map(str, ps))}@{b}" for ps, b in _DIFFERENTIAL_CASES],
+    )
+    def test_pools_and_tables_match(self, primes, bound):
+        rep = analyze_counterexample(primes, degree_bound=bound)
+        sizes, tables = _reference_enumeration(primes, bound)
+        assert rep.pool_sizes == sizes
+        assert rep.consistent_tables == tables
+
+    @pytest.mark.parametrize("primes,bound", [((2, 3), 6), ((2, 3, 5), 6), ((5, 7), 8)])
+    def test_monomial_pool_matches_the_fraction_scan(self, primes, bound):
+        for target in [Fraction(1, p) for p in primes] + [Fraction(1), Fraction(0)]:
+            assert monomial_pool(primes, target, bound) == _reference_pool(
+                list(primes), target, bound
+            )

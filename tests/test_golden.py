@@ -31,7 +31,12 @@ FROZEN_SETUPS = GOLDEN / "setups"
 CHOICE_SETUPS = ("chain_radical", "chain_rootless", "free_lex", "twisted_2x")
 BUILD_SETUPS = ("chain_radical", "chain_rootless", "free_lex")
 ANALYZER_SETUPS = ("counterexample_conflict", "counterexample_pool")
-FROZEN_ANALYZER_SETUPS = ("analyzer_roots", "analyzer_caveat", "analyzer_vacuous")
+FROZEN_ANALYZER_SETUPS = (
+    "analyzer_roots",
+    "analyzer_caveat",
+    "analyzer_vacuous",
+    "analyzer_pool_two",
+)
 
 CASES = [
     (command, folder, setup, machine)

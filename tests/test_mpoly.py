@@ -191,6 +191,13 @@ class TestGrammar:
             with pytest.raises(ValueError, match="exponents must be positive integers"):
                 RF(bad)
 
+    def test_zero_denominators_are_malformed(self):
+        for bad in ("64/0*z^6", "z^6 / 0", "z^6 / z - z"):
+            with pytest.raises(ValueError, match="zero denominator in '"):
+                RF(bad)
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            P("1/0")
+
     def test_malformed_inputs(self):
         for bad in ("", "x +", "(x)", "x^-1", "x^0", "2x", "x*", "^2"):
             with pytest.raises(ValueError):
