@@ -344,6 +344,8 @@ def main(argv=None) -> int:
         print(f"error: cannot read setup file: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
+        if args.bound is not None and args.bound < 0:
+            raise SetupError(f"--bound must be non-negative, got {args.bound}")
         setup = load_setup(text)
         seed = args.seed if args.seed is not None else setup.campaign.seed
         bound = args.bound if args.bound is not None else setup.campaign.bound

@@ -44,7 +44,9 @@ class HomogeneousElement:
     """A nonzero homogeneous component: a degree and an initial-form class.
 
     The representative is canonicalized to a quotient of initial parts, so
-    distinct representatives of one form share their cross products.
+    distinct representatives of one form share their cross products.  Each
+    polynomial of the given representative is scanned once, by the pass
+    that finds its initial part; the degree is read off the initial parts.
     """
 
     __slots__ = ("valuation", "degree", "rep")
@@ -54,8 +56,8 @@ class HomogeneousElement:
         if rep.is_zero():
             raise ValueError("use the distinguished zero for vanishing components")
         self.valuation = valuation
-        self.degree = valuation.value(rep)
         self.rep = valuation.initial_rf(rep)
+        self.degree = valuation.value(self.rep)
 
     def is_zero(self) -> bool:
         return False
@@ -218,7 +220,11 @@ class GradedElement:
 
 
 def psi(eps: ChoiceFunction, x) -> TwistedRingElement:
-    """Apply ψ to a homogeneous component or a whole graded element."""
+    """Apply ψ to a homogeneous component or a whole graded element.
+
+    The coefficient residue(x/ε(γ)) is taken from x and ε(γ) as factors by
+    :meth:`MonomialValuation.residue`; the quotient is never formed.
+    """
     v = eps.valuation
     if isinstance(x, _ZeroHomogeneous):
         return TwistedRingElement.zero(v)
@@ -233,7 +239,7 @@ def psi(eps: ChoiceFunction, x) -> TwistedRingElement:
         raise ValueError("component and choice function use different valuations")
     if not eps.contains(x.degree):
         raise DomainError(f"degree {x.degree} is outside the choice function's domain")
-    coeff = v.residue(x.rep / eps(x.degree))
+    coeff = v.residue(x.rep, over=(eps(x.degree),))
     return TwistedRingElement.term(v, x.degree, coeff)
 
 

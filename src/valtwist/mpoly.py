@@ -19,8 +19,10 @@ Representation invariants
 * :class:`RationalFunction` is a pair ``num / den`` with ``den != 0``.  On
   construction the common monomial content and the leading coefficient of
   ``den`` are cancelled, so ``den`` is lex-monic and at most one of ``num``,
-  ``den`` mentions any given variable-power in content.  No polynomial gcd
-  is ever computed: equality is decided by cross-multiplication.
+  ``den`` mentions any given variable-power in content.  A one-term
+  quotient takes a shortcut that stores exactly the same terms.  No
+  polynomial gcd is ever computed: equality is decided by
+  cross-multiplication.
 
 Variable order
 --------------
@@ -185,13 +187,10 @@ class Monomial:
         return Monomial._raw(tuple(acc.items()))
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial._raw(
-            tuple(
-                (var, min(e, other.exponent(var)))
-                for var, e in self.exps
-                if other.exponent(var)
-            )
-        )
+        if not self.exps or not other.exps:
+            return _ONE_MONOMIAL
+        b = dict(other.exps)
+        return Monomial._raw(tuple((var, min(e, b[var])) for var, e in self.exps if var in b))
 
     def root(self, n: int) -> "Monomial | None":
         if any(e % n for _, e in self.exps):
@@ -477,6 +476,20 @@ class RationalFunction:
     def __init__(self, num, den=1):
         num = _as_poly(num)
         den = _as_poly(den)
+        if len(num.terms) == 1 and len(den.terms) == 1:
+            # a monomial quotient: cancel the monomials' gcd and divide the
+            # coefficients, storing what the general path stores
+            (mn, cn), = num.terms.items()
+            (md, cd), = den.terms.items()
+            g = mn.gcd(md)
+            n, d = mn.div(g), md.div(g)
+            if cd != 1:
+                num, den = Polynomial({n: _div(cn, cd)}), Polynomial({d: 1})
+            elif n is not mn:
+                num, den = Polynomial({n: cn}), Polynomial({d: cd})
+            self.num = num
+            self.den = den
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():

@@ -14,11 +14,12 @@ brace blocks of quoted pairs.
 
 Sections: ``[valuation]`` (variable weights), ``[ring]`` (``subring =
 polynomial|field``, optional ``lifting = constants``), ``[campaign]``
-(``seed``, ``bound``, ``samples``), any number of ``[choice NAME]`` with a
-``table { }`` or ``generators { }`` block, ``[build]`` (``mode = free``
-with ``choice = NAME``, or ``mode = extend`` with ``base = NAME`` and a
-``steps { }`` block applied in file order), and ``[analyzer]`` (``primes``,
-``degree_bound``, optional ``candidates { }`` block).
+(``seed``, ``bound >= 0``, ``samples >= 1``), any number of ``[choice
+NAME]`` with a ``table { }`` or ``generators { }`` block, ``[build]``
+(``mode = free`` with ``choice = NAME``, or ``mode = extend`` with ``base
+= NAME`` and a ``steps { }`` block applied in file order), and
+``[analyzer]`` (``primes``, ``degree_bound``, optional ``candidates { }``
+block).
 
 ``parse_document`` and ``render_document`` round-trip exactly;
 ``load_setup`` interprets a document and rejects anything malformed — in
@@ -261,6 +262,11 @@ def load_setup(source) -> SetupFile:
         for key in ("seed", "bound", "samples"):
             if key in campaign.entries:
                 setattr(cfg, key, _parse_int("campaign", key, campaign.entries[key]))
+        # a negative height or no samples would make every verdict vacuous
+        if cfg.bound < 0:
+            raise SetupError(f"[campaign] bound must be non-negative, got {cfg.bound}")
+        if cfg.samples < 1:
+            raise SetupError(f"[campaign] samples must be at least 1, got {cfg.samples}")
         setup.campaign = cfg
 
     for section in doc.choice_sections():

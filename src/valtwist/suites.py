@@ -156,16 +156,8 @@ _WEIGHT_POOL = [
     Fraction(2),
 ]
 
-_CONST_POOL = [
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(3),
-    Fraction(1, 2),
-    Fraction(-2),
-    Fraction(3, 4),
-    Fraction(5),
-]
+# integral entries are ints: some reach the dict constructor of Polynomial as given
+_CONST_POOL = [1, -1, 2, 3, Fraction(1, 2), -2, Fraction(3, 4), 5]
 
 
 def _random_monomial(rng: random.Random, variables, max_exp: int = 2) -> Monomial:

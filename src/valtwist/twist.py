@@ -242,7 +242,8 @@ class GeneratorChoice(ChoiceFunction):
         return out
 
     def contains(self, gamma: GroupElement) -> bool:
-        return self.subgroup.contains(gamma)
+        # an evaluated degree was decomposed once already
+        return gamma in self._values or self.subgroup.contains(gamma)
 
     def domain_elements(self, bound: int) -> list[GroupElement]:
         return _subgroup_elements(self.subgroup.generators, bound)
@@ -252,6 +253,9 @@ class TwistingTable:
     """Lazily computed map (γ, γ') -> ε̄(γ, γ').
 
     Entries are stored under the sorted key, so symmetry is structural.
+    A miss hands ε(γ), ε(γ') and ε(γ+γ') to :meth:`MonomialValuation.residue`
+    as factors, which multiplies their initial parts; the quotient
+    ε(γ)ε(γ')/ε(γ+γ') itself is never formed.
     Values are residues of value-zero elements and therefore never the
     zero class.  Safe under concurrent readers: inserts are idempotent and
     a dict insert is atomic in CPython.
@@ -266,8 +270,7 @@ class TwistingTable:
         hit = self._cache.get(key)
         if hit is None:
             eps = self.choice
-            q = (eps(g1) * eps(g2)) / eps(g1 + g2)
-            hit = eps.valuation.residue(q)
+            hit = eps.valuation.residue(eps(g1), eps(g2), over=(eps(g1 + g2),))
             self._cache[key] = hit
         return hit
 

@@ -9,11 +9,18 @@ lcm of their denominators, so a monomial value is one integer dot product,
 and over that shared positive denominator the lex order of the numerator
 tuples is the order of the values.
 
-The initial part of a polynomial keeps exactly the minimal-value terms.
+The initial part of a polynomial keeps exactly the minimal-value terms;
+one pass over the terms gives both it and the polynomial's value.
 Because a term-by-term product of two initial polynomials concentrates in
 a single value, initial parts are multiplicative here, which is what lets
 residue classes be compared by polynomial cross-multiplication and never
 by division.
+
+It also means residues come from the factors' initial parts: the class
+of a quotient of products is the quotient of the products of the
+factors' initial parts, and its value is read off those parts.  One routine,
+:meth:`MonomialValuation.residue`, computes every residue that way, so a
+quotient is never normalized whole only to drop its higher-value tails.
 
 A :class:`ResidueElement` is a value-zero class of the residue field,
 represented by a quotient of initial polynomials of equal value (or the
@@ -94,12 +101,38 @@ class MonomialValuation:
         num, den = self._min_lattice(f.num), self._min_lattice(f.den)
         return _reduced(tuple([a - b for a, b in zip(num, den)]), self._scale)
 
-    def initial_part(self, p: Polynomial) -> Polynomial:
-        if p.is_zero():
+    def _initial(self, p: Polynomial) -> tuple[Polynomial, tuple]:
+        """p's initial part and its value in the lattice, from one pass over the terms.
+
+        A one-term polynomial is its own initial part.
+        """
+        terms = p.terms
+        if len(terms) == 1:
+            (m,) = terms
+            return p, self._lattice(m)
+        if not terms:
             raise ValueError("the zero polynomial has no initial part")
-        values = {m: self._lattice(m) for m in p.terms}
-        cut = min(values.values())
-        return Polynomial({m: c for m, c in p.terms.items() if values[m] == cut})
+        cut = keep = None
+        for m, c in terms.items():
+            val = self._lattice(m)
+            if cut is None or val < cut:
+                cut, keep = val, {m: c}
+            elif val == cut:
+                keep[m] = c
+        return (p if len(keep) == len(terms) else Polynomial(keep)), cut
+
+    def _initial_product(self, factors) -> tuple[Polynomial, tuple]:
+        """The product of the factors' initial parts, and the sum of their lattice values."""
+        it = iter(factors)
+        prod, total = self._initial(next(it))
+        for p in it:
+            part, val = self._initial(p)
+            prod = prod * part
+            total = tuple([a + b for a, b in zip(total, val)])
+        return prod, total
+
+    def initial_part(self, p: Polynomial) -> Polynomial:
+        return self._initial(p)[0]
 
     def is_initial(self, p: Polynomial) -> bool:
         if p.is_zero():
@@ -123,12 +156,31 @@ class MonomialValuation:
         d = x - y
         return d.is_zero() or self.value(d) > vx
 
-    def residue(self, f) -> "ResidueElement":
+    def residue(self, f, *more, over=()) -> "ResidueElement":
+        """The residue class of f·Π more / Π over, field elements of total value 0.
+
+        ``residue(f)`` is the class of one value-zero element.  The product
+        is never formed: its class is the quotient of the products of the
+        factors' initial parts, normalized once.
+        """
         f = as_rational_function(f)
-        if self.value(f) != self._zero:
-            raise ValueError(f"residue needs a value-zero element, got value {self.value(f)}")
-        rep = self.initial_rf(f)
-        return ResidueElement(self, rep.num, rep.den)
+        nums, dens = [f.num], [f.den]
+        for f in more:
+            f = as_rational_function(f)
+            nums.append(f.num)
+            dens.append(f.den)
+        for f in over:
+            f = as_rational_function(f)
+            nums.append(f.den)
+            dens.append(f.num)
+        num, value = self._initial_product(nums)
+        den, den_value = self._initial_product(dens)
+        if value != den_value:
+            diff = tuple([a - b for a, b in zip(value, den_value)])
+            raise ValueError(
+                f"residue needs a value-zero element, got value {_reduced(diff, self._scale)}"
+            )
+        return ResidueElement._make(self, num, den)
 
     def residue_zero(self) -> "ResidueElement":
         return ResidueElement(self, Polynomial.zero(), Polynomial.one())

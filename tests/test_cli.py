@@ -189,6 +189,35 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error: [choice base] bad entry '1': zero denominator in '64/0*z^6'")
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("bound", "-2", "[campaign] bound must be non-negative, got -2"),
+            ("samples", "0", "[campaign] samples must be at least 1, got 0"),
+            ("samples", "-5", "[campaign] samples must be at least 1, got -5"),
+        ],
+        ids=["negative-bound", "zero-samples", "negative-samples"],
+    )
+    def test_vacuous_campaign_values_exit_2(self, capsys, tmp_path, key, value, message):
+        text = Path(setup_path("free_lex.vt")).read_text(encoding="utf-8")
+        f = tmp_path / "vacuous.vt"
+        f.write_text(text.replace(f"{key} = ", f"{key} = {value} #", 1))
+        rc, out, err = run(capsys, "ring-axioms", "--setup", str(f))
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_negative_bound_option_exits_2(self, capsys):
+        rc, out, err = run(capsys, "build", "--setup", setup_path("chain_radical.vt"), "--bound", "-4")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: --bound must be non-negative, got -4\n"
+
+    def test_zero_bound_is_accepted(self, capsys):
+        rc, out, _ = run(capsys, "build", "--setup", setup_path("free_lex.vt"), "--bound", "0")
+        assert rc == 0
+        assert "twisting trivial up to height 0: True" in out
+
     def test_unknown_command_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--setup", "x"])

@@ -1,8 +1,10 @@
 """Associated graded algebra, homogeneous arithmetic, and the degree-preserving map."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from valtwist.errors import DegreeMismatchError, DomainError, LiftingError
 from valtwist.graded import (
@@ -17,10 +19,17 @@ from valtwist.graded import (
     psi_inverse,
     psi_inverse_term,
 )
-from valtwist.mpoly import Polynomial, parse_polynomial, parse_rational_function
-from valtwist.ordgroup import GroupElement
+from valtwist.mpoly import (
+    Monomial,
+    Polynomial,
+    RationalFunction,
+    parse_polynomial,
+    parse_rational_function,
+)
+from valtwist.ordgroup import FgSubgroup, GroupElement
+from valtwist.suites import random_setup
 from valtwist.twist import GeneratorChoice, TableChoice, TwistedRingElement
-from valtwist.valuation import MonomialValuation
+from valtwist.valuation import MonomialValuation, ResidueElement
 
 
 def P(text):
@@ -184,3 +193,98 @@ class TestPsiInverse:
             # claims residue 1 instead of 2
             psi_inverse_term(doubled, GroupElement(1), t.coeffs[GroupElement(1)],
                              lambda c: RF("1"))
+
+
+# --- residues against the whole-quotient route ---------------------------------
+#
+# psi and the twisting take their residues from the factors' initial parts.
+# The reference below builds the whole normalized quotient first and keeps
+# its initial parts afterwards; both routes must give the same class and
+# the same representation.
+
+_setup_seeds = st.integers(0, 2**32 - 1)
+_weight_pool = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(-1, 3)]
+_small_coeffs = st.one_of(
+    st.integers(-4, -1),
+    st.integers(1, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+
+
+def _residue_by_quotient(v, q):
+    """The residue of a value-zero field element: initial parts of its normalized form."""
+    assert v.value(q) == v.group_zero
+    rep = v.initial_rf(q)
+    return ResidueElement(v, rep.num, rep.den)
+
+
+def _assert_same_residue(got, want):
+    assert got == want
+    assert str(got.rep()) == str(want.rep())
+
+
+def _random_free_choice(seed):
+    """A free choice on one multi-term witness per dimension, or None if they are dependent."""
+    rng = random.Random(seed)
+    dim = rng.choice([1, 2])
+    names = ["x", "y", "z"][: rng.randint(2, 3)]
+    weights = {n: tuple(rng.choice(_weight_pool) for _ in range(dim)) for n in names}
+    v = MonomialValuation(weights)
+    gens, wits = [], []
+    for _ in range(dim):
+        terms = [
+            (Monomial([(n, rng.randint(0, 2)) for n in names]), rng.choice([1, -2, Fraction(1, 2), 3]))
+            for _ in range(rng.randint(1, 3))
+        ]
+        low = Monomial([(rng.choice(names), rng.randint(0, 2))])
+        w = RationalFunction(Polynomial(terms), Polynomial.term(low, rng.choice([1, 2, -3])))
+        if w.is_zero() or v.value(w).is_zero():
+            return None
+        gens.append(v.value(w))
+        wits.append(w)
+    if FgSubgroup(dim, gens).rank != dim:
+        return None
+    return GeneratorChoice(v, gens, wits)
+
+
+def _choice(kind, seed):
+    if kind == "table":
+        return random_setup(random.Random(seed), seed % 97).eps
+    return _random_free_choice(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["table", "free"]), _setup_seeds, st.data())
+def test_twisting_matches_whole_quotient_route(kind, seed, data):
+    eps = _choice(kind, seed)
+    assume(eps is not None)
+    elements = eps.domain_elements(2)
+    for _ in range(4):
+        a = data.draw(st.sampled_from(elements))
+        b = data.draw(st.sampled_from([b for b in elements if eps.contains(a + b)]))
+        want = _residue_by_quotient(eps.valuation, (eps(a) * eps(b)) / eps(a + b))
+        _assert_same_residue(eps.twisting(a, b), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["table", "free"]), _setup_seeds, st.data())
+def test_psi_matches_whole_quotient_route(kind, seed, data):
+    eps = _choice(kind, seed)
+    assume(eps is not None)
+    v = eps.valuation
+    names = sorted(v.weights)
+    monos = st.lists(st.tuples(st.sampled_from(names), st.integers(0, 2)), max_size=3).map(Monomial)
+    polys = st.dictionaries(monos, _small_coeffs, min_size=1, max_size=3).map(Polynomial)
+
+    def unit(p):
+        # p over a least-value term of p: value 0 and, with ties, a non-constant class
+        return RationalFunction(p, Polynomial.term(min(p.terms, key=v.monomial_value), 1))
+
+    for _ in range(3):
+        d = data.draw(st.sampled_from(eps.domain_elements(2)))
+        x = eps(d) * unit(data.draw(polys)) * unit(data.draw(polys))
+        h = in_v(v, x)
+        assert h.degree == d
+        got = psi(eps, h).coeffs[d]
+        _assert_same_residue(got, _residue_by_quotient(v, h.rep / eps(d)))
+        _assert_same_residue(got, _residue_by_quotient(v, x / eps(d)))

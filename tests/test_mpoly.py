@@ -9,6 +9,7 @@ from valtwist.mpoly import (
     Monomial,
     Polynomial,
     RationalFunction,
+    _div,
     nth_root,
     parse_polynomial,
     parse_rational_function,
@@ -386,3 +387,38 @@ def test_nth_root_of_perfect_powers_round_trips(sp, p, n):
     _assert_exact(g)
     assert g == p or (n % 2 == 0 and g == -p)
     assert sp.expand(_to_sympy(sp, g) ** n - _to_sympy(sp, f)) == 0
+
+
+# --- one term over one term --------------------------------------------------
+#
+# A one-term quotient is normalized without the general content and
+# leading-coefficient pass; it must store exactly what that pass stores,
+# coefficient types included.
+
+def _general_normalization(num, den):
+    """Cancel the common monomial content, then make den's leading coefficient 1."""
+    content = num.monomial_content().gcd(den.monomial_content())
+    if not content.is_one():
+        num, den = num.divide_monomial(content), den.divide_monomial(content)
+    _, lead = den.leading()
+    if lead != 1:
+        s = _div(1, lead)
+        num, den = num.scale(s), den.scale(s)
+    return num, den
+
+
+def _typed_terms(p):
+    return sorted((m.exps, c, type(c)) for m, c in p.terms.items())
+
+
+# integral Fractions too: the dict constructor stores a coefficient as given
+_any_coeffs = st.one_of(_mixed_coeffs, st.integers(-6, 6).filter(bool).map(Fraction))
+
+
+@given(_monos, _any_coeffs, _monos, _any_coeffs)
+def test_one_term_quotient_matches_general_normalization(mn, cn, md, cd):
+    num, den = Polynomial({mn: cn}), Polynomial({md: cd})
+    f = RationalFunction(num, den)
+    want_num, want_den = _general_normalization(num, den)
+    assert _typed_terms(f.num) == _typed_terms(want_num)
+    assert _typed_terms(f.den) == _typed_terms(want_den)

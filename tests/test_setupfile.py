@@ -146,6 +146,17 @@ class TestLoadSetup:
         with pytest.raises(SetupError, match="seed"):
             load_setup("[valuation]\nx = 1\n\n[campaign]\nseed = many\n")
 
+    @pytest.mark.parametrize(
+        "entry,key", [("bound = -1", "bound"), ("samples = 0", "samples"), ("samples = -5", "samples")]
+    )
+    def test_vacuous_campaign_values_rejected(self, entry, key):
+        with pytest.raises(SetupError, match=rf"^\[campaign\] {key} must be"):
+            load_setup(f"[valuation]\nx = 1\n\n[campaign]\n{entry}\n")
+
+    def test_zero_bound_and_one_sample_accepted(self):
+        setup = load_setup("[valuation]\nx = 1\n\n[campaign]\nbound = 0\nsamples = 1\n")
+        assert (setup.campaign.bound, setup.campaign.samples) == (0, 1)
+
     def test_choice_needs_exactly_one_block(self):
         with pytest.raises(SetupError):
             load_setup("[valuation]\nx = 1\n\n[choice c]\nkind = free\n")

@@ -102,6 +102,24 @@ class TestResidues:
         with pytest.raises(ValueError):
             v.residue(RF("x / y"))
 
+    def test_residue_of_a_quotient_of_nonzero_value_names_it(self, v):
+        # multi-term factors on both sides: v(x + y) = 1/2, v(x*y + x^2) = 3/2
+        with pytest.raises(ValueError, match="value-zero element, got value -1$"):
+            v.residue(RF("x + y / x*y + x^2"))
+        with pytest.raises(ValueError, match="got value -1/2$"):
+            v.residue(RF("3*x^2 - x*y / 2*x^2 + x^3"))
+        with pytest.raises(ValueError):
+            v.residue(0)
+
+    def test_residue_of_factors_is_residue_of_their_quotient(self, v):
+        a, b, c = RF("y + x / x"), RF("3*y^3 - x^2 / y + x^3"), RF("2*y^3 + x^2 / x")
+        got = v.residue(a, b, over=(c,))
+        want = v.residue(a * b / c)
+        assert got == want and str(got.rep()) == str(want.rep())
+        assert v.residue(1, over=(RF("y^2 / x"),)) == v.residue(RF("x / y^2"))
+        with pytest.raises(ValueError, match="got value 1/2$"):
+            v.residue(a, b)
+
     def test_residue_of_constant_quotient(self, v):
         r = v.residue(RF("2*x + x^2 / x"))
         assert r.as_rational() == 2
