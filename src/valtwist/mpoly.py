@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 __all__ = [
     "Monomial",
@@ -198,18 +198,16 @@ class Monomial:
         return Monomial._raw(tuple((var, e // n) for var, e in self.exps))
 
     def _cmp(self, other: "Monomial") -> int:
-        i = j = 0
         a, b = self.exps, other.exps
-        while i < len(a) or j < len(b):
-            if i < len(a) and (j >= len(b) or _var_key(a[i][0]) < _var_key(b[j][0])):
-                return 1  # self has a power of an earlier variable
-            if j < len(b) and (i >= len(a) or _var_key(b[j][0]) < _var_key(a[i][0])):
-                return -1
-            if a[i][1] != b[j][1]:
-                return 1 if a[i][1] > b[j][1] else -1
-            i += 1
-            j += 1
-        return 0
+        for (va, ea), (vb, eb) in zip(a, b):
+            if va != vb:
+                ka, kb = _var_key(va), _var_key(vb)
+                if ka != kb:
+                    return 1 if ka < kb else -1  # a power of an earlier variable
+            if ea != eb:
+                return 1 if ea > eb else -1
+        # every shared position ties: the one with more variables is greater
+        return (len(a) > len(b)) - (len(a) < len(b))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -660,10 +658,13 @@ def _rational_nth_root(c, n: int):
 def nth_root(f: Polynomial, n: int) -> Polynomial | None:
     """Polynomial g with ``g**n == f``, or None.
 
-    Sound: a returned root is verified by reconstruction.  The leading-term
-    recursion adds one root term per step and gives up after
-    ``4*len(f) + 4*f.total_degree() + 16`` steps; None therefore means
-    "no root found", not a disproof.
+    The leading-term recursion adds one root term per step.  The remainder
+    ``f - g**n`` and the powers ``g**i`` (``i < n``) are kept exact as g
+    grows by a term t, through ``(g + t)**i = sum C(i, j) g**(i-j) t**j``,
+    so no step re-powers g.  Sound: g is returned only when that exact
+    remainder is zero, which is the reconstruction check.  The recursion
+    gives up after ``4*len(f) + 4*f.total_degree() + 16`` steps; None
+    therefore means "no root found", not a disproof.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("the root index must be an integer >= 2")
@@ -680,24 +681,53 @@ def nth_root(f: Polynomial, n: int) -> Polynomial | None:
     if f.total_degree() % n:
         return None
     g = Polynomial.term(root_m, root_c)
+    # h is f - g**n as a term map, updated in place as g grows
+    h = dict((f - g**n).terms)
+    if not h:
+        return g
     denom_c = n * root_c ** (n - 1)
     denom_m = root_m.pow(n - 1)
     cap = 4 * len(f) + 4 * f.total_degree() + 16
     last = root_m
-    h = f - g**n
+    # powers[i] is g**i as a term map; n <= deg f here, so this is small
+    powers = [{root_m.pow(i): root_c**i} for i in range(n)]
     steps = 0
-    while not h.is_zero():
+    while True:
         steps += 1
         if steps > cap:
             return None
-        hm, hc = h.leading()
+        hm = max(h)
         um = hm.div(denom_m)
         if um is None or not um < last:
             return None
-        g = g + Polynomial.term(um, _div(hc, denom_c))
+        uc = _div(h[hm], denom_c)
+        g = g + Polynomial.term(um, uc)
         last = um
-        h = f - g**n
-    return g
+        t_powers = [(um.pow(j), uc**j) for j in range(n + 1)]
+        _add_binomial_terms(h, powers, n, t_powers, -1)
+        if not h:
+            return g
+        # descending, so powers[i - j] is still the old power for j >= 1
+        for i in range(n - 1, 0, -1):
+            _add_binomial_terms(powers[i], powers, i, t_powers, 1)
+
+
+def _add_binomial_terms(acc: dict, powers: list, i: int, t_powers: list, sign: int) -> None:
+    """Add ``sign * sum_{j=1..i} C(i, j) powers[i-j] t**j`` to the term map ``acc``.
+
+    ``t_powers[j]`` is ``t**j`` as a (monomial, coefficient) pair.  A helper
+    of :func:`nth_root` only.
+    """
+    for j in range(1, i + 1):
+        tm, tc = t_powers[j]
+        s = sign * comb(i, j) * tc
+        for m, c in powers[i - j].items():
+            key = m.mul(tm)
+            c = acc.get(key, 0) + c * s
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
 
 
 def rf_nth_root(f: RationalFunction, n: int) -> RationalFunction | None:

@@ -32,7 +32,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatchError
-from .mpoly import Polynomial, RationalFunction, _div, as_rational_function, rf_nth_root
+from .mpoly import (
+    _ONE_MONOMIAL,
+    Polynomial,
+    RationalFunction,
+    _div,
+    as_rational_function,
+    rf_nth_root,
+)
 from .ordgroup import GroupElement, _common_lattice, _reduced
 
 __all__ = ["MonomialValuation", "ResidueElement"]
@@ -122,13 +129,22 @@ class MonomialValuation:
         return (p if len(keep) == len(terms) else Polynomial(keep)), cut
 
     def _initial_product(self, factors) -> tuple[Polynomial, tuple]:
-        """The product of the factors' initial parts, and the sum of their lattice values."""
-        it = iter(factors)
-        prod, total = self._initial(next(it))
-        for p in it:
+        """The product of the factors' initial parts, and the sum of their lattice values.
+
+        A factor equal to 1 changes neither, so it is skipped.
+        """
+        prod = total = None
+        for p in factors:
+            if len(p.terms) == 1 and p.terms.get(_ONE_MONOMIAL) == 1:
+                continue
             part, val = self._initial(p)
-            prod = prod * part
-            total = tuple([a + b for a, b in zip(total, val)])
+            if prod is None:
+                prod, total = part, val
+            else:
+                prod = prod * part
+                total = tuple([a + b for a, b in zip(total, val)])
+        if prod is None:
+            return Polynomial.one(), self._zero.num
         return prod, total
 
     def initial_part(self, p: Polynomial) -> Polynomial:

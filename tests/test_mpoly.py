@@ -10,6 +10,7 @@ from valtwist.mpoly import (
     Polynomial,
     RationalFunction,
     _div,
+    _rational_nth_root,
     nth_root,
     parse_polynomial,
     parse_rational_function,
@@ -422,3 +423,87 @@ def test_one_term_quotient_matches_general_normalization(mn, cn, md, cd):
     want_num, want_den = _general_normalization(num, den)
     assert _typed_terms(f.num) == _typed_terms(want_num)
     assert _typed_terms(f.den) == _typed_terms(want_den)
+
+
+# --- monomial order against dense exponent vectors ---------------------------
+#
+# The documented variable order, written out for the sampled names; a
+# monomial is its exponent vector over it, and lex order on the vectors is
+# the monomial order.
+
+_ORDER = ("a1", "b", "x", "x2", "x10", "y")
+_ordered_monos = st.dictionaries(st.sampled_from(_ORDER), st.integers(1, 3), max_size=4).map(
+    lambda d: Monomial(tuple(d.items()))
+)
+
+
+@given(_ordered_monos, _ordered_monos)
+def test_monomial_order_matches_dense_exponent_vectors(a, b):
+    va = tuple(a.exponent(v) for v in _ORDER)
+    vb = tuple(b.exponent(v) for v in _ORDER)
+    assert a._cmp(b) == (va > vb) - (va < vb)
+    assert (a < b, a <= b, a > b, a >= b) == (va < vb, va <= vb, va > vb, va >= vb)
+
+
+# --- nth_root against the re-powering recursion ------------------------------
+#
+# nth_root keeps f - g**n exact as g grows; the reference recomputes it from
+# scratch after every root term.  Both must return the same root, with the
+# same terms and coefficient types, or both None.
+
+def _nth_root_repowering(f, n):
+    if f.is_zero():
+        return Polynomial.zero()
+    lm, lc = f.leading()
+    root_c = _rational_nth_root(lc, n)
+    root_m = lm.root(n)
+    if root_c is None or root_m is None:
+        return None
+    tm, tc = f.trailing()
+    if tm.root(n) is None or _rational_nth_root(tc, n) is None:
+        return None
+    if f.total_degree() % n:
+        return None
+    g = Polynomial.term(root_m, root_c)
+    denom_c = n * root_c ** (n - 1)
+    denom_m = root_m.pow(n - 1)
+    cap = 4 * len(f) + 4 * f.total_degree() + 16
+    last = root_m
+    h = f - g**n
+    steps = 0
+    while not h.is_zero():
+        steps += 1
+        if steps > cap:
+            return None
+        hm, hc = h.leading()
+        um = hm.div(denom_m)
+        if um is None or not um < last:
+            return None
+        g = g + Polynomial.term(um, _div(hc, denom_c))
+        last = um
+        h = f - g**n
+    return g
+
+
+@st.composite
+def _root_cases(draw):
+    """A perfect power, a near power (one term nudged in) or a negated power."""
+    g = draw(st.dictionaries(_monos, _mixed_coeffs, min_size=1, max_size=7))
+    n = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    f = Polynomial(list(g.items())) ** n
+    kind = draw(st.sampled_from(["perfect", "near", "negated"]))
+    if kind == "near":
+        f = f + Polynomial.term(draw(_monos), draw(_mixed_coeffs))
+    elif kind == "negated":
+        f = -f
+    return f, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_root_cases())
+def test_nth_root_matches_repowering_recursion(case):
+    f, n = case
+    got, want = nth_root(f, n), _nth_root_repowering(f, n)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert _typed_terms(got) == _typed_terms(want)
