@@ -27,9 +27,11 @@ Representation invariants
 Variable order
 --------------
 Variable names are compared by splitting a trailing integer suffix, so
-``x < x2 < x10 < y``.  Monomials are compared lexicographically against
-that variable order (a higher power of an earlier variable wins), which is
-the order ``leading_term`` and the root recursion use.
+``x < x2 < x10 < y``; names whose suffixes differ only by leading zeros
+are ordered by the digit string, so ``x01 < x1``.  Monomials are compared
+lexicographically against that variable order (a higher power of an
+earlier variable wins), which is the order ``leading_term`` and the root
+recursion use.
 
 Text format
 -----------
@@ -46,6 +48,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add, sub
 
 __all__ = [
     "Monomial",
@@ -87,7 +90,8 @@ def _var_key(name: str):
     if key is None:
         m = re.fullmatch(r"(.*?)(\d*)", name)
         prefix, digits = m.group(1), m.group(2)
-        key = (prefix, int(digits) if digits else -1)
+        # the digit string breaks ties between names like x01 and x1
+        key = (prefix, int(digits) if digits else -1, digits)
         _VAR_KEYS[name] = key
     return key
 
@@ -201,9 +205,8 @@ class Monomial:
         a, b = self.exps, other.exps
         for (va, ea), (vb, eb) in zip(a, b):
             if va != vb:
-                ka, kb = _var_key(va), _var_key(vb)
-                if ka != kb:
-                    return 1 if ka < kb else -1  # a power of an earlier variable
+                # a power of an earlier variable
+                return 1 if _var_key(va) < _var_key(vb) else -1
             if ea != eb:
                 return 1 if ea > eb else -1
         # every shared position ties: the one with more variables is greater
@@ -661,68 +664,102 @@ def nth_root(f: Polynomial, n: int) -> Polynomial | None:
     The leading-term recursion adds one root term per step.  The remainder
     ``f - g**n`` and the powers ``g**i`` (``i < n``) are kept exact as g
     grows by a term t, through ``(g + t)**i = sum C(i, j) g**(i-j) t**j``,
-    so no step re-powers g.  Sound: g is returned only when that exact
-    remainder is zero, which is the reconstruction check.  The recursion
-    gives up after ``4*len(f) + 4*f.total_degree() + 16`` steps; None
-    therefore means "no root found", not a disproof.
+    so no step re-powers g.  Here a monomial is its exponent vector over
+    the variables of f in variable order, so lex order on the vectors is
+    the monomial order, and each map holds integer numerators over one
+    common denominator: ``d**i`` for ``g**i``, where d is the least common
+    denominator of g's coefficients, and ``K * d**n`` for the remainder,
+    with K fixed by f.  Sound: g is returned only when that exact remainder is
+    zero, which is the reconstruction check.  The recursion gives up after
+    ``4*len(f) + 4*f.total_degree() + 16`` steps; None therefore means "no
+    root found", not a disproof.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("the root index must be an integer >= 2")
     if f.is_zero():
         return Polynomial.zero()
-    lm, lc = f.leading()
-    root_c = _rational_nth_root(lc, n)
-    root_m = lm.root(n)
-    if root_c is None or root_m is None:
+    names = sorted({var for m in f.terms for var, _ in m.exps}, key=_var_key)
+    column = {name: k for k, name in enumerate(names)}
+
+    def vector(m):
+        e = [0] * len(names)
+        for var, x in m.exps:
+            e[column[var]] = x
+        return tuple(e)
+
+    def monomial(v):
+        return Monomial._raw(tuple((var, e) for var, e in zip(names, v) if e))
+
+    h = {vector(m): c for m, c in f.terms.items()}
+    lm, tm = max(h), min(h)
+    root_c = _rational_nth_root(h[lm], n)
+    if root_c is None or any(e % n for e in lm):
         return None
-    tm, tc = f.trailing()
-    if tm.root(n) is None or _rational_nth_root(tc, n) is None:
+    if any(e % n for e in tm) or _rational_nth_root(h[tm], n) is None:
         return None
-    if f.total_degree() % n:
+    degree = max(map(sum, h))
+    if degree % n:
         return None
-    g = Polynomial.term(root_m, root_c)
-    # h is f - g**n as a term map, updated in place as g grows
-    h = dict((f - g**n).terms)
+    last = tuple(e // n for e in lm)
+    root_terms = {monomial(last): _coeff(root_c)}
+    # g is the leading root term, so f - g**n is f without its leading term
+    del h[lm]
     if not h:
-        return g
+        return Polynomial(root_terms)
+    d = root_c.denominator
+    H = lcm(d**n, *(c.denominator for c in h.values()))
+    K = H // d**n
+    h = {m: c.numerator * (H // c.denominator) for m, c in h.items()}
     denom_c = n * root_c ** (n - 1)
-    denom_m = root_m.pow(n - 1)
-    cap = 4 * len(f) + 4 * f.total_degree() + 16
-    last = root_m
-    # powers[i] is g**i as a term map; n <= deg f here, so this is small
-    powers = [{root_m.pow(i): root_c**i} for i in range(n)]
+    denom_m = tuple(e * (n - 1) for e in last)
+    cap = 4 * len(f) + 4 * degree + 16
+    # powers[i] is g**i as numerators over d**i; n <= deg f here, so this is small
+    powers = [{tuple(e * i for e in last): root_c.numerator**i} for i in range(n)]
     steps = 0
     while True:
         steps += 1
         if steps > cap:
             return None
         hm = max(h)
-        um = hm.div(denom_m)
-        if um is None or not um < last:
+        um = tuple(map(sub, hm, denom_m))
+        if min(um) < 0 or not um < last:
             return None
-        uc = _div(h[hm], denom_c)
-        g = g + Polynomial.term(um, uc)
+        uc = _div(Fraction(h[hm], K * d**n), denom_c)
+        root_terms[monomial(um)] = uc
         last = um
-        t_powers = [(um.pow(j), uc**j) for j in range(n + 1)]
-        _add_binomial_terms(h, powers, n, t_powers, -1)
+        if d % uc.denominator:
+            # d grows by r: numerators over d**i scale by r**i, the
+            # remainder's (over K * d**n) by r**n
+            r = lcm(d, uc.denominator) // d
+            d *= r
+            for i in range(1, n):
+                ri = r**i
+                powers[i] = {m: c * ri for m, c in powers[i].items()}
+            rn = r**n
+            h = {m: c * rn for m, c in h.items()}
+        # t = uc * um is tn / d, and t**j is (um * j, tn**j) over d**j
+        tn = uc.numerator * (d // uc.denominator)
+        t_powers = [(tuple(e * j for e in um), tn**j) for j in range(n + 1)]
+        _add_binomial_terms(h, powers, n, t_powers, -K)
         if not h:
-            return g
+            return Polynomial(root_terms)
         # descending, so powers[i - j] is still the old power for j >= 1
         for i in range(n - 1, 0, -1):
             _add_binomial_terms(powers[i], powers, i, t_powers, 1)
 
 
-def _add_binomial_terms(acc: dict, powers: list, i: int, t_powers: list, sign: int) -> None:
-    """Add ``sign * sum_{j=1..i} C(i, j) powers[i-j] t**j`` to the term map ``acc``.
+def _add_binomial_terms(acc: dict, powers: list, i: int, t_powers: list, scale: int) -> None:
+    """Add ``scale * sum_{j=1..i} C(i, j) powers[i-j] t**j`` to the map ``acc``.
 
-    ``t_powers[j]`` is ``t**j`` as a (monomial, coefficient) pair.  A helper
-    of :func:`nth_root` only.
+    Monomials are exponent vectors and coefficients integer numerators;
+    ``t_powers[j]`` is ``t**j`` as a (vector, numerator) pair.  A helper of
+    :func:`nth_root` only.
     """
     for j in range(1, i + 1):
         tm, tc = t_powers[j]
-        s = sign * comb(i, j) * tc
+        s = scale * comb(i, j) * tc
         for m, c in powers[i - j].items():
-            key = m.mul(tm)
+            key = tuple(map(add, m, tm))
             c = acc.get(key, 0) + c * s
             if c:
                 acc[key] = c

@@ -445,6 +445,16 @@ def test_monomial_order_matches_dense_exponent_vectors(a, b):
     assert (a < b, a <= b, a > b, a >= b) == (va < vb, va <= vb, va > vb, va >= vb)
 
 
+def test_names_equal_up_to_leading_zeros_are_ordered():
+    # x01 and x1 share a suffix value; the digit string orders them, so the
+    # monomial order is total and the term order does not follow insertion
+    a, b = parse_polynomial("x01^2 + x1^2"), parse_polynomial("x1^2 + x01^2")
+    assert str(a) == str(b) == "x01^2 + x1^2"
+    assert a.leading() == b.leading() == (Monomial((("x01", 2),)), 1)
+    assert Monomial((("x1", 2),)) < Monomial((("x01", 2),))
+    assert nth_root(parse_polynomial("x01^2 + 2*x01*x1 + x1^2"), 2) == parse_polynomial("x01 + x1")
+
+
 # --- nth_root against the re-powering recursion ------------------------------
 #
 # nth_root keeps f - g**n exact as g grows; the reference recomputes it from
