@@ -21,6 +21,7 @@ Each command returns one list of report records ``(text, tag, fields)``;
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -336,8 +337,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    # building the parser costs about twenty parses, so build it once
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         text = Path(args.setup).read_text(encoding="utf-8")
     except OSError as exc:

@@ -20,9 +20,14 @@ The analyzer mechanizes the finite-prime part of the degree obstruction:
 with weights v(x_p) = 1/p, any choice function must satisfy the forced
 identity eps(1) == eps(1/p)**p in initial form, hence p | deg(eps(1)) for
 every listed prime.  Without candidates, each monomial eps(1) up to a
-degree bound is tried, and the identity forces every eps(1/p).  Verdicts
-are per finite prime set; the step to all primes at once is reported as
-narrative, not machine-checked.
+degree bound is tried, and the identity forces every eps(1/p).  The pools
+of monomials of value 1/p and 1 solve one linear equation in the exponents:
+:func:`monomial_pool` walks every exponent but the last and solves for the
+last.  Each eps(1/p) is then looked up by exponent key (p times its
+exponents are those of eps(1)) and confirmed by one exact p-th power.  An
+enumeration whose walk exceeds :data:`WALK_LIMIT` is refused with a
+:class:`SetupError`.  Verdicts are per finite prime set; the step to all
+primes at once is reported as narrative, not machine-checked.
 """
 
 from __future__ import annotations
@@ -171,28 +176,49 @@ def counterexample_valuation(primes) -> MonomialValuation:
 
 def monomial_pool(primes, target: Fraction, degree_bound: int) -> list[RationalFunction]:
     """All unit-coefficient quotients of the x_p with value ``target`` and
-    degree at most ``degree_bound``, in exponent order."""
+    degree at most ``degree_bound``, in exponent order.
+
+    The exponents solve sum(e_p / p) == target, scaled to integers.  The walk
+    runs over every exponent but the last inside the positive and negative
+    degree budgets, and the equation then forces the last one: it is kept
+    when it is an integer that stays inside both budgets.
+    """
     primes = list(primes)
-    # sum(e_p / p) == target, scaled to integers by lcm(P) * denominator
-    weights = [lcm(*primes) * target.denominator // p for p in primes]
-    goal = lcm(*primes) * target.numerator
+    if not primes:
+        return [_quotient(primes, [])] if target == 0 else []
+    lcm_p = lcm(*primes)
+    *head, last = [lcm_p * target.denominator // p for p in primes]
+    goal = lcm_p * target.numerator
     out: list[RationalFunction] = []
 
     def rec(i: int, exps: list[int], value: int, pos: int, neg: int):
-        if pos > degree_bound or neg > degree_bound:
+        if i == len(head):
+            e, rem = divmod(goal - value, last)
+            if rem == 0 and (pos + e if e > 0 else neg - e) <= degree_bound:
+                out.append(_quotient(primes, exps + [e]))
             return
-        if i == len(primes):
-            if value == goal:
-                num = Monomial([(f"x{p}", e) for p, e in zip(primes, exps) if e > 0])
-                den = Monomial([(f"x{p}", -e) for p, e in zip(primes, exps) if e < 0])
-                out.append(RationalFunction(Polynomial.term(num, 1), Polynomial.term(den, 1)))
-            return
-        w = weights[i]
-        for e in range(-degree_bound, degree_bound + 1):
-            rec(i + 1, exps + [e], value + e * w, pos + max(e, 0), neg + max(-e, 0))
+        w = head[i]
+        for e in range(neg - degree_bound, 1):
+            rec(i + 1, exps + [e], value + e * w, pos, neg - e)
+        for e in range(1, degree_bound - pos + 1):
+            rec(i + 1, exps + [e], value + e * w, pos + e, neg)
 
     rec(0, [], 0, 0, 0)
     return out
+
+
+def _quotient(primes, exps) -> RationalFunction:
+    """The monomial quotient prod x_p ** e_p."""
+    num = Monomial([(f"x{p}", e) for p, e in zip(primes, exps) if e > 0])
+    den = Monomial([(f"x{p}", -e) for p, e in zip(primes, exps) if e < 0])
+    return RationalFunction(Polynomial.term(num, 1), Polynomial.term(den, 1))
+
+
+def _exponents(primes, f: RationalFunction) -> tuple[int, ...]:
+    """The exponent vector of a one-term quotient of the x_p."""
+    (num, _), = f.num.terms.items()
+    (den, _), = f.den.terms.items()
+    return tuple(num.exponent(f"x{p}") - den.exponent(f"x{p}") for p in primes)
 
 
 @dataclass(frozen=True)
@@ -282,6 +308,10 @@ def _conflict_residue(valuation, p: int, prime_value, unit_value) -> str:
     return f"epsilon-bar(1/{p}, {p - 1}/{p}) = {cls} != 1"
 
 
+# the most exponent prefixes an enumeration may walk, (|P|+1) * (2b+1)^(|P|-1)
+WALK_LIMIT = 10**6
+
+
 def analyze_counterexample(primes, candidates=None, degree_bound: int = 8) -> AnalyzerReport:
     """Check the forced-identity lemmas over a finite prime set.
 
@@ -321,6 +351,13 @@ def analyze_counterexample(primes, candidates=None, degree_bound: int = 8) -> An
 
     if candidates is not None:
         return _analyze_table(primes, valuation, lcm_p, candidates)
+    walk = (len(primes) + 1) * (2 * degree_bound + 1) ** (len(primes) - 1)
+    if walk > WALK_LIMIT:
+        raise SetupError(
+            f"the enumeration over primes {', '.join(map(str, primes))} with"
+            f" degree_bound {degree_bound} walks {walk} exponent prefixes,"
+            f" more than the limit of {WALK_LIMIT}"
+        )
     return _analyze_enumeration(primes, valuation, lcm_p, degree_bound)
 
 
@@ -410,15 +447,25 @@ def _analyze_enumeration(primes, valuation, lcm_p, degree_bound) -> AnalyzerRepo
     unit_pool = monomial_pool(primes, Fraction(1), degree_bound)
     pool_sizes = [(f"1/{p}", len(pools[p])) for p in primes] + [("1", len(unit_pool))]
 
-    # eps(1/p) is the one pool member whose p-th power is eps(1)
-    powers = {p: [(val, val**p) for val in pools[p]] for p in primes}
+    # eps(1/p) is the one pool member whose p-th power is eps(1): the one
+    # whose exponents, times p, are those of eps(1)
+    roots = {
+        p: {tuple(p * e for e in _exponents(primes, val)): val for val in pools[p]}
+        for p in primes
+    }
     tables = []
     for unit_value in unit_pool:
+        key = _exponents(primes, unit_value)
         chosen = []
         for p in primes:
-            root = next((val for val, pw in powers[p] if pw == unit_value), None)
+            root = roots[p].get(key)
             if root is None:
                 break
+            if root**p != unit_value:
+                raise RuntimeError(
+                    f"epsilon(1/{p}) = {root} has the exponents of a {p}-th root of"
+                    f" epsilon(1) = {unit_value}, but its {p}-th power differs"
+                )
             chosen.append(root)
         else:
             deg = unit_value.total_degree()

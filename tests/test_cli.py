@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from valtwist import cli
 from valtwist.cli import main
 
 SETUPS = Path(__file__).resolve().parents[1] / "setups"
@@ -221,6 +222,21 @@ class TestErrorPaths:
     def test_unknown_command_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--setup", "x"])
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_arg_parser
+        monkeypatch.setattr(cli, "build_arg_parser", lambda: built.append(1) or real())
+        cli._arg_parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "build", "--setup", "no-such-file.vt")[0] == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["frobnicate", "--setup", "x"])
+            assert exc.value.code == 2
+        finally:
+            cli._arg_parser.cache_clear()
+        assert built == [1]
 
 
 class TestDeterminism:

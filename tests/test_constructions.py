@@ -1,13 +1,16 @@
 """Trivialization constructions and the finite-prime analyzer."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from valtwist import cli
+from valtwist import cli, constructions
 from valtwist.constructions import (
+    WALK_LIMIT,
     AnalyzerReport,
     ConsistentTable,
     _augmented_recheck,
@@ -315,6 +318,39 @@ class TestAnalyzer:
         assert a[0] == "analyzer mode=enumerate primes=2,3 degree_bound=8"
 
 
+class TestAnalyzerCostGuard:
+    def test_oversized_walk_exits_2_without_walking(self, capsys, tmp_path, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the oversized enumeration was walked")
+
+        monkeypatch.setattr(constructions, "monomial_pool", walk)
+        setup = tmp_path / "big.vt"
+        setup.write_text("[analyzer]\nprimes = 2, 3, 5, 7, 11, 13\ndegree_bound = 60\n")
+        start = time.perf_counter()
+        rc = cli.main(["counterexample", "--setup", str(setup)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            "error: the enumeration over primes 2, 3, 5, 7, 11, 13 with degree_bound 60"
+            f" walks {7 * 121**5} exponent prefixes, more than the limit of {WALK_LIMIT}\n"
+        )
+        assert elapsed < 1.0
+
+    def test_limit_boundary(self, monkeypatch):
+        # 5 * 57^3 = 925 965 is within the limit, 5 * 59^3 = 1 026 895 is not
+        monkeypatch.setattr(constructions, "_analyze_enumeration", lambda *args: "walked")
+        assert analyze_counterexample([2, 3, 5, 7], degree_bound=28) == "walked"
+        with pytest.raises(SetupError, match="walks 1026895 exponent prefixes"):
+            analyze_counterexample([2, 3, 5, 7], degree_bound=29)
+
+    def test_a_root_key_that_lies_raises(self, monkeypatch):
+        # every quotient gets the same key, so the lookup finds a wrong root
+        monkeypatch.setattr(constructions, "_exponents", lambda primes, f: ())
+        with pytest.raises(RuntimeError, match="but its 2-th power differs"):
+            analyze_counterexample([2, 3], degree_bound=8)
+
+
 class TestMonomialPool:
     def test_pool_oracle(self):
         pool = monomial_pool([2], Fraction(1), 4)
@@ -390,9 +426,26 @@ class TestEnumerationAgainstProductSearch:
         assert rep.pool_sizes == sizes
         assert rep.consistent_tables == tables
 
-    @pytest.mark.parametrize("primes,bound", [((2, 3), 6), ((2, 3, 5), 6), ((5, 7), 8)])
+    # the last two are pool-only: the product search cannot reach them
+    @pytest.mark.parametrize(
+        "primes,bound",
+        [((2, 3), 6), ((2, 3, 5), 6), ((5, 7), 8), ((2, 3, 5, 7), 6), ((2, 3, 5), 10)],
+    )
     def test_monomial_pool_matches_the_fraction_scan(self, primes, bound):
         for target in [Fraction(1, p) for p in primes] + [Fraction(1), Fraction(0)]:
             assert monomial_pool(primes, target, bound) == _reference_pool(
                 list(primes), target, bound
             )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        primes=st.lists(st.sampled_from([2, 3, 5, 7, 11]), max_size=4, unique=True),
+        numerator=st.integers(-3, 3),
+        denominator=st.integers(1, 6),
+        bound=st.integers(0, 5),
+    )
+    def test_monomial_pool_matches_the_fraction_scan_on_random_inputs(
+        self, primes, numerator, denominator, bound
+    ):
+        target = Fraction(numerator, denominator)
+        assert monomial_pool(primes, target, bound) == _reference_pool(primes, target, bound)
