@@ -25,8 +25,10 @@ of monomials of value 1/p and 1 solve one linear equation in the exponents:
 :func:`monomial_pool` walks every exponent but the last and solves for the
 last.  Each eps(1/p) is then looked up by exponent key (p times its
 exponents are those of eps(1)) and confirmed by one exact p-th power.  An
-enumeration whose walk exceeds :data:`WALK_LIMIT` is refused with a
-:class:`SetupError`.  Verdicts are per finite prime set; the step to all
+enumeration whose walk exceeds :data:`WALK_LIMIT`, or whose pool of
+candidates for eps(1) exceeds :data:`UNIT_POOL_LIMIT`, is refused with a
+:class:`SetupError`, and so is a prime list with a number too large for the
+exact primality test.  Verdicts are per finite prime set; the step to all
 primes at once is reported as narrative, not machine-checked.
 """
 
@@ -158,14 +160,36 @@ def forced_power_check(eps: ChoiceFunction, alpha, n: int) -> PowerCheck:
 # --- the finite-prime analyzer ----------------------------------------------
 
 
+# Miller–Rabin with the primes up to 37 as bases is exact below PRIME_LIMIT
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller–Rabin; refuses n >= PRIME_LIMIT."""
+    if n >= PRIME_LIMIT:
+        raise SetupError(
+            f"{n} is too large to be checked for primality (the limit is {PRIME_LIMIT})"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -310,6 +334,8 @@ def _conflict_residue(valuation, p: int, prime_value, unit_value) -> str:
 
 # the most exponent prefixes an enumeration may walk, (|P|+1) * (2b+1)^(|P|-1)
 WALK_LIMIT = 10**6
+# the most candidates for eps(1) an enumeration may look up and recheck
+UNIT_POOL_LIMIT = 5_000
 
 
 def analyze_counterexample(primes, candidates=None, degree_bound: int = 8) -> AnalyzerReport:
@@ -443,8 +469,14 @@ def _analyze_table(primes, valuation, lcm_p, candidates) -> AnalyzerReport:
 
 
 def _analyze_enumeration(primes, valuation, lcm_p, degree_bound) -> AnalyzerReport:
-    pools = {p: monomial_pool(primes, Fraction(1, p), degree_bound) for p in primes}
     unit_pool = monomial_pool(primes, Fraction(1), degree_bound)
+    if len(unit_pool) > UNIT_POOL_LIMIT:
+        raise SetupError(
+            f"the enumeration over primes {', '.join(map(str, primes))} with"
+            f" degree_bound {degree_bound} has {len(unit_pool)} candidates for"
+            f" epsilon(1), more than the limit of {UNIT_POOL_LIMIT}"
+        )
+    pools = {p: monomial_pool(primes, Fraction(1, p), degree_bound) for p in primes}
     pool_sizes = [(f"1/{p}", len(pools[p])) for p in primes] + [("1", len(unit_pool))]
 
     # eps(1/p) is the one pool member whose p-th power is eps(1): the one

@@ -70,19 +70,23 @@ class ChoiceFunction:
     def domain_elements(self, bound: int) -> list[GroupElement]:
         raise NotImplementedError
 
-    def domain_pairs(self, bound: int) -> list[tuple[GroupElement, GroupElement]]:
-        """Sorted (γ, γ') with γ, γ' and γ+γ' all in the domain.
+    def iter_domain_pairs(self, bound: int):
+        """Yield, in sorted order, the (γ, γ') with γ, γ' and γ+γ' all in the domain.
 
         Rule-based domains are enumerated to half the bound per operand, so
-        the combined height of a pair never exceeds the bound.
+        the combined height of a pair never exceeds the bound.  A pair's
+        sum is formed only when the walk reaches it.
         """
         elements = self.domain_elements((bound + 1) // 2)
-        return [
-            (a, b)
-            for a in elements
-            for b in elements
-            if self.contains(a + b)
-        ]
+        contains = self.contains
+        for a in elements:
+            for b in elements:
+                if contains(a + b):
+                    yield a, b
+
+    def domain_pairs(self, bound: int) -> list[tuple[GroupElement, GroupElement]]:
+        """Every pair of :meth:`iter_domain_pairs`, as a list."""
+        return list(self.iter_domain_pairs(bound))
 
     def twisting(self, g1: GroupElement, g2: GroupElement) -> ResidueElement:
         return self.twist_table(g1, g2)
@@ -388,12 +392,13 @@ def is_trivial(eps: ChoiceFunction, bound: int = 6):
     """Bounded triviality check of the twisting.
 
     Returns ``(True, None)`` when ε̄ == 1 on every domain pair up to the
-    bound, else ``(False, (γ, γ'))`` with the first failing pair.  For
-    rule-based choice functions a positive answer is bounded evidence, not
-    a certificate; certification is the construction's job.
+    bound, else ``(False, (γ, γ'))`` with the first failing pair.  The
+    pairs are walked lazily, so a failure stops the walk where it is found.
+    For rule-based choice functions a positive answer is bounded evidence,
+    not a certificate; certification is the construction's job.
     """
     one = eps.valuation.residue_one()
-    for pair in eps.domain_pairs(bound):
+    for pair in eps.iter_domain_pairs(bound):
         if eps.twisting(*pair) != one:
             return False, pair
     return True, None
@@ -404,10 +409,12 @@ def semigroup_hom_check(eps: ChoiceFunction, bound: int = 6) -> bool:
 
     Must always agree with :func:`is_trivial`; the two sides are computed
     along independent code paths (initial-form equality of field elements
-    here, residue-class equality of quotients there).
+    here, residue-class equality of quotients there).  Like
+    :func:`is_trivial` it walks the pairs lazily and stops at the first
+    failure.
     """
     v = eps.valuation
-    for a, b in eps.domain_pairs(bound):
+    for a, b in eps.iter_domain_pairs(bound):
         if not v.in_eq(eps(a) * eps(b), eps(a + b)):
             return False
     return True

@@ -24,7 +24,12 @@ quotient is never normalized whole only to drop its higher-value tails.
 
 A :class:`ResidueElement` is a value-zero class of the residue field,
 represented by a quotient of initial polynomials of equal value (or the
-zero class, which only arises from additive cancellation).
+zero class, which only arises from additive cancellation).  Most classes
+met in practice are rational numbers: a twisting or a ψ coefficient of
+one-term quotients whose monomials cancel.  Such a constant class carries
+its rational from the moment :meth:`MonomialValuation.residue` creates it,
+and products, sums and comparisons of constant classes are rational
+arithmetic, with no polynomial product and no quotient normalization.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .mpoly import (
     _ONE_MONOMIAL,
     Polynomial,
     RationalFunction,
+    _coeff,
     _div,
     as_rational_function,
     rf_nth_root,
@@ -177,18 +183,17 @@ class MonomialValuation:
 
         ``residue(f)`` is the class of one value-zero element.  The product
         is never formed: its class is the quotient of the products of the
-        factors' initial parts, normalized once.
+        factors' initial parts, normalized once.  When every factor is a
+        one-term quotient and their monomials cancel, the class is the
+        quotient of their coefficients, and no polynomial is multiplied.
         """
-        f = as_rational_function(f)
-        nums, dens = [f.num], [f.den]
-        for f in more:
-            f = as_rational_function(f)
-            nums.append(f.num)
-            dens.append(f.den)
-        for f in over:
-            f = as_rational_function(f)
-            nums.append(f.den)
-            dens.append(f.num)
+        factors = [as_rational_function(f)] + [as_rational_function(g) for g in more]
+        over = [as_rational_function(g) for g in over]
+        const = _cancelled_coefficients(factors, over)
+        if const is not None:
+            return ResidueElement._constant(self, const)
+        nums = [g.num for g in factors] + [g.den for g in over]
+        dens = [g.den for g in factors] + [g.num for g in over]
         num, value = self._initial_product(nums)
         den, den_value = self._initial_product(dens)
         if value != den_value:
@@ -218,6 +223,35 @@ class MonomialValuation:
         return f"MonomialValuation({inner})"
 
 
+def _cancelled_coefficients(factors, over) -> int | Fraction | None:
+    """Π factors / Π over as a rational number, when that quotient is one.
+
+    That is the case exactly when every factor is a one-term quotient and
+    the Laurent exponents of the monomials sum to zero; otherwise None.
+    Cancelled exponents have value 0, so no value check is needed.
+    """
+    exps: dict[str, int] = {}
+    top = bottom = 1
+    for sign, group in ((1, factors), (-1, over)):
+        for f in group:
+            num, den = f.num.terms, f.den.terms
+            if len(num) != 1 or len(den) != 1:
+                return None
+            ((mn, cn),) = num.items()
+            ((md, cd),) = den.items()
+            for var, e in mn.exps:
+                exps[var] = exps.get(var, 0) + sign * e
+            for var, e in md.exps:
+                exps[var] = exps.get(var, 0) - sign * e
+            if sign > 0:
+                top, bottom = top * cn, bottom * cd
+            else:
+                top, bottom = top * cd, bottom * cn
+    if any(exps.values()):
+        return None
+    return _div(top, bottom)
+
+
 class ResidueElement:
     """A residue-field element as a quotient of initial polynomials.
 
@@ -225,24 +259,47 @@ class ResidueElement:
     nonzero); the zero class has ``num == 0``.  Equality is
     cross-multiplied polynomial equality, exact because initial parts are
     multiplicative for monomial valuations.
+
+    A constant class also carries its rational number as ``const`` (an
+    ``int`` when integral; None for a non-constant class).  Products, sums
+    and equality of two constant classes are rational arithmetic on
+    ``const``, and their results are stored as the general path stores a
+    constant: ``c`` over 1, or 0 over 1.
     """
 
-    __slots__ = ("valuation", "num", "den")
+    __slots__ = ("valuation", "num", "den", "const")
 
     def __init__(self, valuation: MonomialValuation, num: Polynomial, den: Polynomial):
         self.valuation = valuation
         self.num = num
         self.den = den
+        self.const = (
+            _div(num.constant_value(), den.constant_value())
+            if num.is_constant() and den.is_constant()
+            else None
+        )
+
+    @classmethod
+    def _constant(cls, valuation, c) -> "ResidueElement":
+        """The class of the rational ``c``, which is already an ``int`` when integral."""
+        out = object.__new__(cls)
+        out.valuation = valuation
+        out.num = Polynomial({_ONE_MONOMIAL: c} if c else {})
+        out.den = Polynomial.one()
+        out.const = c
+        return out
 
     @classmethod
     def _make(cls, valuation, num: Polynomial, den: Polynomial) -> "ResidueElement":
         rf = RationalFunction(num, den)
+        if rf.is_constant():
+            return cls._constant(valuation, rf.constant_value())
         return cls(valuation, rf.num, rf.den)
 
     def _check(self, other) -> "ResidueElement":
         if not isinstance(other, ResidueElement):
             raise TypeError(f"expected ResidueElement, got {type(other).__name__}")
-        if other.valuation != self.valuation:
+        if other.valuation is not self.valuation and other.valuation != self.valuation:
             raise ValueError("residues over different valuations cannot be combined")
         return other
 
@@ -258,6 +315,8 @@ class ResidueElement:
         if isinstance(other, (int, Fraction)):
             other = self.valuation.residue_constant(other)
         other = self._check(other)
+        if self.const is not None and other.const is not None:
+            return self._constant(self.valuation, _coeff(self.const * other.const))
         if self.is_zero() or other.is_zero():
             return self.valuation.residue_zero()
         return self._make(self.valuation, self.num * other.num, self.den * other.den)
@@ -268,6 +327,8 @@ class ResidueElement:
         if isinstance(other, (int, Fraction)):
             other = self.valuation.residue_constant(other)
         other = self._check(other)
+        if self.const is not None and other.const is not None:
+            return self._constant(self.valuation, _coeff(self.const + other.const))
         if self.is_zero():
             return other
         if other.is_zero():
@@ -318,8 +379,10 @@ class ResidueElement:
             other = self.valuation.residue_constant(other)
         elif not isinstance(other, ResidueElement):
             return NotImplemented
-        if other.valuation != self.valuation:
+        if other.valuation is not self.valuation and other.valuation != self.valuation:
             return False
+        if self.const is not None and other.const is not None:
+            return self.const == other.const
         return self.num * other.den == other.num * self.den
 
     def nth_root(self, n: int) -> RationalFunction | None:
@@ -330,10 +393,8 @@ class ResidueElement:
 
     def as_rational(self) -> int | Fraction | None:
         """The class as a rational number, or None if it is not constant."""
-        if self.is_zero():
-            return 0
-        if self.num.is_constant() and self.den.is_constant():
-            return _div(self.num.constant_value(), self.den.constant_value())
+        if self.const is not None:
+            return self.const
         nm, nc = self.num.leading()
         dm, dc = self.den.leading()
         if nm != dm:

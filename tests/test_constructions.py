@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from valtwist import cli, constructions
 from valtwist.constructions import (
+    PRIME_LIMIT,
+    UNIT_POOL_LIMIT,
     WALK_LIMIT,
     AnalyzerReport,
     ConsistentTable,
     _augmented_recheck,
+    _is_prime,
     analyze_counterexample,
     counterexample_valuation,
     extend_choice,
@@ -344,11 +347,77 @@ class TestAnalyzerCostGuard:
         with pytest.raises(SetupError, match="walks 1026895 exponent prefixes"):
             analyze_counterexample([2, 3, 5, 7], degree_bound=29)
 
+    def test_oversized_unit_pool_exits_2_before_any_lookup(self, capsys, tmp_path, monkeypatch):
+        def lookup(*args):
+            raise AssertionError("a candidate of the oversized pool was looked up")
+
+        monkeypatch.setattr(constructions, "_exponents", lookup)
+        monkeypatch.setattr(constructions, "_augmented_recheck", lookup)
+        setup = tmp_path / "wide.vt"
+        setup.write_text("[analyzer]\nprimes = 2, 3\ndegree_bound = 20000\n")
+        start = time.perf_counter()
+        rc = cli.main(["counterexample", "--setup", str(setup)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            "error: the enumeration over primes 2, 3 with degree_bound 20000 has 13333"
+            f" candidates for epsilon(1), more than the limit of {UNIT_POOL_LIMIT}\n"
+        )
+        assert elapsed < 2.0
+
+    def test_largest_walk_passes_the_pool_guard(self):
+        # the largest bound the walk guard allows for {2,3,5,7} pools 657 units
+        rep = analyze_counterexample([2, 3, 5, 7], degree_bound=28)
+        assert rep.pool_sizes[-1] == ("1", 657)
+
     def test_a_root_key_that_lies_raises(self, monkeypatch):
         # every quotient gets the same key, so the lookup finds a wrong root
         monkeypatch.setattr(constructions, "_exponents", lambda primes, f: ())
         with pytest.raises(RuntimeError, match="but its 2-th power differs"):
             analyze_counterexample([2, 3], degree_bound=8)
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_10_5(self):
+        primes = []
+        for n in range(10**5):
+            prime = n >= 2 and all(n % p for p in itertools.takewhile(lambda p: p * p <= n, primes))
+            if prime:
+                primes.append(n)
+            assert _is_prime(n) is prime, n
+
+    def test_strong_pseudoprimes_to_small_bases_are_composite(self):
+        # 3215031751 fools bases 2, 3, 5 and 7; 3825123056546413051 all bases up to 23
+        assert not _is_prime(3215031751)
+        assert not _is_prime(3825123056546413051)
+        assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+
+    def test_nineteen_digit_prime_is_fast(self, capsys, tmp_path):
+        setup = tmp_path / "big_prime.vt"
+        setup.write_text("[analyzer]\nprimes = 1000000000000000003\n")
+        start = time.perf_counter()
+        rc = cli.main(["counterexample", "--setup", str(setup)])
+        elapsed = time.perf_counter() - start
+        assert rc == 0 and "prime set: 1000000000000000003" in capsys.readouterr().out
+        assert elapsed < 1.0
+
+    def test_number_beyond_the_exact_test_exits_2(self, capsys, tmp_path):
+        n = 123456789012345678901234567891
+        assert n >= PRIME_LIMIT
+        setup = tmp_path / "huge_prime.vt"
+        setup.write_text(f"[analyzer]\nprimes = 2, {n}\n")
+        start = time.perf_counter()
+        rc = cli.main(["counterexample", "--setup", str(setup)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: {n} is too large to be checked for primality (the limit is {PRIME_LIMIT})\n"
+        )
+        assert elapsed < 1.0
+        with pytest.raises(SetupError, match=str(n)):
+            _is_prime(n)
 
 
 class TestMonomialPool:

@@ -161,6 +161,23 @@ class TestTriviality:
         for eps in (doubled, free):
             assert is_trivial(eps, 4)[0] == semigroup_hom_check(eps, 4)
 
+    def test_a_failing_walk_stops_at_the_failure(self, v1):
+        # a table ignores the bound, so all n^2 pairs are candidates; the
+        # twisting fails at (1, 1), in the second row of the walk
+        n = 40
+        table = {GroupElement(1): RF("2*x")}
+        table.update({GroupElement(k): RF(f"x^{k}") for k in range(2, n)})
+        eps = TableChoice(v1, table)
+        assert len(eps.domain_elements(6)) == n
+        calls = []
+        contains = eps.contains
+        eps.contains = lambda gamma: calls.append(gamma) or contains(gamma)
+        assert is_trivial(eps, 6) == (False, (GroupElement(1), GroupElement(1)))
+        assert len(calls) <= 2 * n
+        calls.clear()
+        assert semigroup_hom_check(eps, 6) is False
+        assert len(calls) <= 2 * n
+
 
 class TestTwistedRing:
     def test_term_and_support(self, v1, doubled):

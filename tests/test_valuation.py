@@ -13,7 +13,7 @@ from valtwist.mpoly import (
     parse_rational_function,
 )
 from valtwist.ordgroup import GroupElement
-from valtwist.valuation import MonomialValuation
+from valtwist.valuation import MonomialValuation, ResidueElement
 
 
 def P(text):
@@ -207,3 +207,60 @@ def test_value_of_sum_at_least_min(p, q):
         assert v.polynomial_value(s) >= min(
             v.polynomial_value(p), v.polynomial_value(q)
         )
+
+
+# v(x) = v(y) = 1 and v(z) = 2, so x/y and z/x^2 are value-zero monomials
+# that do not cancel, next to the cancelling ones
+_vxyz = MonomialValuation({"x": 1, "y": 1, "z": 2})
+_xyz_monos = st.dictionaries(
+    st.sampled_from(["x", "y", "z"]), st.integers(1, 2), max_size=2
+).map(lambda d: Monomial(tuple(d.items())))
+_rational_coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+).filter(bool)
+_one_term = st.builds(
+    lambda m, c, n, d: RationalFunction(Polynomial.term(m, c), Polynomial.term(n, d)),
+    _xyz_monos, _rational_coeffs, _xyz_monos, _rational_coeffs,
+)
+# the part of h that f*g does not supply: 1 (the monomials cancel), a
+# value-zero quotient that does not cancel, or one of nonzero value
+_leftover = st.sampled_from(["1", "1", "1", "x / y", "z / x^2", "y^2 / z", "x", "1 / z"])
+
+
+def _terms(p: Polynomial):
+    return [(m, c, type(c)) for m, c in p.terms.items()]
+
+
+@given(_one_term, _one_term, _rational_coeffs, _leftover)
+def test_residue_constant_lane_matches_the_general_path(f, g, c, leftover):
+    h = f * g * c * RF(leftover)
+    # one-term polynomials are their own initial parts
+    want = ResidueElement._make(_vxyz, f.num * g.num * h.den, f.den * g.den * h.num)
+    if _vxyz.value(f * g / h) != _vxyz.group_zero:
+        with pytest.raises(ValueError, match="value-zero element"):
+            _vxyz.residue(f, g, over=(h,))
+        return
+    got = _vxyz.residue(f, g, over=(h,))
+    assert _terms(got.num) == _terms(want.num)
+    assert _terms(got.den) == _terms(want.den)
+    assert got.const == want.const and type(got.const) is type(want.const)
+    assert (got.const is not None) == (leftover == "1")
+    assert str(got) == str(want) and got.as_rational() == want.as_rational()
+
+
+_constant_classes = st.builds(
+    lambda f, c: _vxyz.residue(f, over=(f * c,)),
+    _one_term,
+    st.one_of(st.integers(-3, 3), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])).filter(bool),
+) | st.just(_vxyz.residue_zero())
+
+
+@given(_constant_classes, _constant_classes)
+def test_constant_class_arithmetic_matches_rational_functions(a, b):
+    assert a.const is not None and b.const is not None
+    for got, want in ((a * b, a.rep() * b.rep()), (a + b, a.rep() + b.rep()), (-a, -a.rep())):
+        assert got.const is not None
+        assert got.rep() == want and str(got) == str(want)
+        assert type(got.const) is (int if got.const.denominator == 1 else Fraction)
+    assert (a == b) == (a.rep() == b.rep())
