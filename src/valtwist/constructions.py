@@ -160,8 +160,10 @@ def forced_power_check(eps: ChoiceFunction, alpha, n: int) -> PowerCheck:
 # --- the finite-prime analyzer ----------------------------------------------
 
 
-# Miller–Rabin with the primes up to 37 as bases is exact below PRIME_LIMIT
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller–Rabin with the primes up to 41 as bases is exact below PRIME_LIMIT,
+# the least strong pseudoprime to all of them; with the bases up to 37 alone
+# 318 665 857 834 031 151 167 461 would pass as prime
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 

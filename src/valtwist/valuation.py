@@ -204,15 +204,17 @@ class MonomialValuation:
         return ResidueElement._make(self, num, den)
 
     def residue_zero(self) -> "ResidueElement":
-        return ResidueElement(self, Polynomial.zero(), Polynomial.one())
+        return ResidueElement._constant(self, 0)
 
     def residue_one(self) -> "ResidueElement":
-        return ResidueElement(self, Polynomial.one(), Polynomial.one())
+        return ResidueElement._constant(self, 1)
 
     def residue_constant(self, c) -> "ResidueElement":
-        return ResidueElement(self, Polynomial.constant(c), Polynomial.one())
+        return ResidueElement._constant(self, _coeff(c))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, MonomialValuation) and self.weights == other.weights
 
     def __hash__(self):
@@ -273,6 +275,8 @@ class ResidueElement:
         self.valuation = valuation
         self.num = num
         self.den = den
+        # this module builds its constant classes with _constant; this
+        # covers quotients that callers pass in directly
         self.const = (
             _div(num.constant_value(), den.constant_value())
             if num.is_constant() and den.is_constant()
@@ -299,7 +303,7 @@ class ResidueElement:
     def _check(self, other) -> "ResidueElement":
         if not isinstance(other, ResidueElement):
             raise TypeError(f"expected ResidueElement, got {type(other).__name__}")
-        if other.valuation is not self.valuation and other.valuation != self.valuation:
+        if other.valuation != self.valuation:
             raise ValueError("residues over different valuations cannot be combined")
         return other
 
@@ -350,6 +354,8 @@ class ResidueElement:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.const is not None:
+            return self._constant(self.valuation, -self.const)
         return ResidueElement(self.valuation, -self.num, self.den)
 
     def __sub__(self, other):
@@ -379,7 +385,7 @@ class ResidueElement:
             other = self.valuation.residue_constant(other)
         elif not isinstance(other, ResidueElement):
             return NotImplemented
-        if other.valuation is not self.valuation and other.valuation != self.valuation:
+        if other.valuation != self.valuation:
             return False
         if self.const is not None and other.const is not None:
             return self.const == other.const

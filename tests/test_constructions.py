@@ -388,9 +388,11 @@ class TestPrimality:
             assert _is_prime(n) is prime, n
 
     def test_strong_pseudoprimes_to_small_bases_are_composite(self):
-        # 3215031751 fools bases 2, 3, 5 and 7; 3825123056546413051 all bases up to 23
+        # 3215031751 fools bases 2, 3, 5 and 7; 3825123056546413051 all bases up to 23;
+        # 318665857834031151167461 all bases up to 37
         assert not _is_prime(3215031751)
         assert not _is_prime(3825123056546413051)
+        assert not _is_prime(318665857834031151167461)
         assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
 
     def test_nineteen_digit_prime_is_fast(self, capsys, tmp_path):

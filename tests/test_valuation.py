@@ -235,8 +235,11 @@ def _terms(p: Polynomial):
 @given(_one_term, _one_term, _rational_coeffs, _leftover)
 def test_residue_constant_lane_matches_the_general_path(f, g, c, leftover):
     h = f * g * c * RF(leftover)
-    # one-term polynomials are their own initial parts
-    want = ResidueElement._make(_vxyz, f.num * g.num * h.den, f.den * g.den * h.num)
+    # the general path: the products of the factors' initial parts, in the
+    # order residue forms them (factors equal to 1 are skipped)
+    num, _ = _vxyz._initial_product([f.num, g.num, h.den])
+    den, _ = _vxyz._initial_product([f.den, g.den, h.num])
+    want = ResidueElement._make(_vxyz, num, den)
     if _vxyz.value(f * g / h) != _vxyz.group_zero:
         with pytest.raises(ValueError, match="value-zero element"):
             _vxyz.residue(f, g, over=(h,))
