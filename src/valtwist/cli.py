@@ -11,7 +11,10 @@ Four subcommands, all driven by a setup file:
 Exit codes: 0 all checks passed, 1 a mathematical check failed (a genuine
 conflict), 2 unusable input, 3 a construction step failed (no radical
 witness).  Reports go to stdout, diagnostics to stderr; for a fixed setup
-file and seed the report is byte-identical across runs.
+file and seed the report is byte-identical across runs.  When the reader
+closes stdout early (``valtwist build ... | head -1``) the rest of the
+report is dropped without a traceback and the exit code is still the
+command's verdict.
 
 Each command returns one list of report records ``(text, tag, fields)``;
 :func:`main` prints either the text lines or, with ``--machine``, one
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 from pathlib import Path
@@ -363,8 +367,14 @@ def main(argv=None) -> int:
     except RootNotFound as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    for line in _render(records, args.machine):
-        print(line)
+    try:
+        for line in _render(records, args.machine):
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the verdict stands, and pointing stdout
+        # at devnull keeps the interpreter's last flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

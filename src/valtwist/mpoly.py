@@ -19,10 +19,15 @@ Representation invariants
 * :class:`RationalFunction` is a pair ``num / den`` with ``den != 0``.  On
   construction the common monomial content and the leading coefficient of
   ``den`` are cancelled, so ``den`` is lex-monic and at most one of ``num``,
-  ``den`` mentions any given variable-power in content.  A one-term
-  quotient takes a shortcut that stores exactly the same terms.  No
-  polynomial gcd is ever computed: equality is decided by
-  cross-multiplication.
+  ``den`` mentions any given variable-power in content.  A quotient over
+  the polynomial 1 and a one-term quotient take shortcuts that store
+  exactly the same terms.  No polynomial gcd is ever computed: equality is
+  decided by cross-multiplication.
+* Polynomials and rational functions are immutable values: nothing
+  changes a term map once it is stored.  So arithmetic may return an
+  operand itself, and does so for a product with the polynomial 1 (with an
+  ``int`` coefficient 1) and for a quotient over 1, which keeps its
+  numerator.
 
 Variable order
 --------------
@@ -378,9 +383,13 @@ class Polynomial:
             return Polynomial.zero()
         if len(other.terms) == 1:
             (mono, coeff), = other.terms.items()
+            if not mono.exps and coeff == 1 and type(coeff) is int:
+                return self
             return Polynomial({m.mul(mono): c * coeff for m, c in self.terms.items()})
         if len(self.terms) == 1:
             (mono, coeff), = self.terms.items()
+            if not mono.exps and coeff == 1 and type(coeff) is int:
+                return other
             return Polynomial({m.mul(mono): c * coeff for m, c in other.terms.items()})
         acc: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
@@ -477,20 +486,27 @@ class RationalFunction:
     def __init__(self, num, den=1):
         num = _as_poly(num)
         den = _as_poly(den)
-        if len(num.terms) == 1 and len(den.terms) == 1:
-            # a monomial quotient: cancel the monomials' gcd and divide the
-            # coefficients, storing what the general path stores
-            (mn, cn), = num.terms.items()
+        if len(den.terms) == 1:
             (md, cd), = den.terms.items()
-            g = mn.gcd(md)
-            n, d = mn.div(g), md.div(g)
-            if cd != 1:
-                num, den = Polynomial({n: _div(cn, cd)}), Polynomial({d: 1})
-            elif n is not mn:
-                num, den = Polynomial({n: cn}), Polynomial({d: cd})
-            self.num = num
-            self.den = den
-            return
+            if num.terms and not md.exps and cd == 1:
+                # over 1 nothing cancels and den is already monic, so the
+                # general path would store these very terms
+                self.num = num
+                self.den = den
+                return
+            if len(num.terms) == 1:
+                # a monomial quotient: cancel the monomials' gcd and divide
+                # the coefficients, storing what the general path stores
+                (mn, cn), = num.terms.items()
+                g = mn.gcd(md)
+                n, d = mn.div(g), md.div(g)
+                if cd != 1:
+                    num, den = Polynomial({n: _div(cn, cd)}), Polynomial({d: 1})
+                elif n is not mn:
+                    num, den = Polynomial({n: cn}), Polynomial({d: cd})
+                self.num = num
+                self.den = den
+                return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():

@@ -6,7 +6,8 @@ totally ordered abelian group under componentwise addition.  It is stored
 as integer numerators over one positive common denominator,
 ``coords[i] == num[i] / den``, kept reduced: ``gcd(den, *num) == 1``.  Equal
 points therefore have equal ``(num, den)``, which is what ``==`` and
-``hash`` use, and all group arithmetic and comparison is on integers.
+``hash`` use, and all group arithmetic and comparison is on integers.  The
+hash, ``hash((num, den))``, is computed once when an element is made.
 
 A :class:`FgSubgroup` is generated by finitely many such points; it scales
 them once to integer vectors of a common lattice ``Z^d / scale``, and
@@ -49,11 +50,11 @@ def _coordinate(c):
 class GroupElement:
     """A point of Q^d under the lexicographic order, as ``num / den``."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, coords):
         if isinstance(coords, GroupElement):
-            self.num, self.den = coords.num, coords.den
+            self.num, self.den, self._hash = coords.num, coords.den, coords._hash
             return
         if isinstance(coords, (int, str, Fraction)):
             coords = (coords,)
@@ -66,6 +67,7 @@ class GroupElement:
             raise ValueError("a group element needs at least one coordinate")
         if all(type(c) is int for c in coords):
             self.num, self.den = coords, 1
+            self._hash = hash((coords, 1))
             return
         pairs = [
             (c if type(c) is Fraction else _coordinate(c)).as_integer_ratio()
@@ -76,6 +78,7 @@ class GroupElement:
         den = lcm(*[d for _, d in pairs])
         self.num = tuple([n * (den // d) for n, d in pairs])
         self.den = den
+        self._hash = hash((self.num, den))
 
     @classmethod
     def zero(cls, dim: int) -> "GroupElement":
@@ -163,7 +166,7 @@ class GroupElement:
         )
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return self._hash
 
     # Over a shared positive denominator the numerator tuples compare
     # lexicographically, exactly as the points do; across two denominators
@@ -208,6 +211,7 @@ def _raw(num: tuple, den: int) -> GroupElement:
     out = object.__new__(GroupElement)
     out.num = num
     out.den = den
+    out._hash = hash((num, den))
     return out
 
 

@@ -403,7 +403,9 @@ def psi_suites(
             continue
         hx, hy = in_v(v, x), in_v(v, y)
         wd.cases += 1
-        if v.in_eq(RationalFunction(x), RationalFunction(y)) != (psi(eps, hx) == psi(eps, hy)):
+        same_form = v.in_eq(RationalFunction(x), RationalFunction(y))
+        px = psi(eps, hx)
+        if same_form != (px == psi(eps, hy)):
             wd.failures.append(f"trial {t}: in_eq and psi-equality disagree")
 
         # additivity at equal degrees, forcing the cancelling branch on half the trials
@@ -419,18 +421,18 @@ def psi_suites(
         if s.is_zero():
             cancelled += 1
         add.cases += 1
-        if psi(eps, s) != psi(eps, hx) + psi(eps, hz):
+        if psi(eps, s) != px + psi(eps, hz):
             add.failures.append(f"trial {t}: additivity failed")
 
         w = _random_polynomial_for(setup, rng, max_exp=2)
         hw = in_v(v, w)
         if eps.contains(hx.degree + hw.degree):
             mul.cases += 1
-            if psi(eps, h_mul(hx, hw)) != twisted_mul(eps, psi(eps, hx), psi(eps, hw)):
+            if psi(eps, h_mul(hx, hw)) != twisted_mul(eps, px, psi(eps, hw)):
                 mul.failures.append(f"trial {t}: multiplicativity failed")
 
         deg.cases += 1
-        if psi(eps, hx).support() != [hx.degree]:
+        if px.support() != [hx.degree]:
             deg.failures.append(f"trial {t}: degree not preserved")
 
     add.notes.append(f"cancelling-branch trials: {cancelled}")

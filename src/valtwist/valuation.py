@@ -7,7 +7,10 @@ quotient the difference — well defined on the field because the valuation
 is multiplicative.  The weights are scaled once to integer vectors over the
 lcm of their denominators, so a monomial value is one integer dot product,
 and over that shared positive denominator the lex order of the numerator
-tuples is the order of the values.
+tuples is the order of the values.  Each valuation keeps a memo from
+monomial to that integer vector, so the dot product is taken once per
+monomial; a variable without a weight is never stored and raises on every
+call.
 
 The initial part of a polynomial keeps exactly the minimal-value terms;
 one pass over the terms gives both it and the polynomial's value.
@@ -29,7 +32,9 @@ met in practice are rational numbers: a twisting or a ψ coefficient of
 one-term quotients whose monomials cancel.  Such a constant class carries
 its rational from the moment :meth:`MonomialValuation.residue` creates it,
 and products, sums and comparisons of constant classes are rational
-arithmetic, with no polynomial product and no quotient normalization.
+arithmetic, with no polynomial product and no quotient normalization.  Its
+``num`` and ``den`` polynomials are built only when first read (for a
+printed report, ``rep`` or a cross product with a non-constant class).
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ __all__ = ["MonomialValuation", "ResidueElement"]
 
 
 class MonomialValuation:
-    __slots__ = ("weights", "dim", "_zero", "_scale", "_vecs")
+    __slots__ = ("weights", "dim", "_zero", "_scale", "_vecs", "_memo")
 
     def __init__(self, weights: dict):
         if not weights:
@@ -74,6 +79,8 @@ class MonomialValuation:
         # the weights as integer vectors of the lattice Z^d / _scale
         self._scale, vecs = _common_lattice(coerced.values())
         self._vecs = dict(zip(coerced, vecs))
+        # monomial -> _lattice(monomial), filled as monomials are met
+        self._memo: dict = {}
 
     @property
     def group_zero(self) -> GroupElement:
@@ -83,7 +90,13 @@ class MonomialValuation:
         return sorted(self.weights)
 
     def _lattice(self, mono) -> tuple:
-        """v(mono) as integer numerators over ``_scale``."""
+        """v(mono) as integer numerators over ``_scale``, computed once per monomial."""
+        vec = self._memo.get(mono)
+        if vec is None:
+            vec = self._memo[mono] = self._dot(mono)
+        return vec
+
+    def _dot(self, mono) -> tuple:
         vecs = self._vecs
         total = None
         for var, e in mono.exps:
@@ -263,10 +276,12 @@ class ResidueElement:
     multiplicative for monomial valuations.
 
     A constant class also carries its rational number as ``const`` (an
-    ``int`` when integral; None for a non-constant class).  Products, sums
-    and equality of two constant classes are rational arithmetic on
-    ``const``, and their results are stored as the general path stores a
-    constant: ``c`` over 1, or 0 over 1.
+    ``int`` when integral; None for a non-constant class), and ``is_zero``
+    reads it.  Products, sums and equality of two constant classes are
+    rational arithmetic on ``const``.  A constant class built by
+    :meth:`_constant` leaves ``num`` and ``den`` unset until one is first
+    read; they are then stored as the general path stores a constant:
+    ``c`` over 1, or 0 over 1.
     """
 
     __slots__ = ("valuation", "num", "den", "const")
@@ -285,13 +300,24 @@ class ResidueElement:
 
     @classmethod
     def _constant(cls, valuation, c) -> "ResidueElement":
-        """The class of the rational ``c``, which is already an ``int`` when integral."""
+        """The class of the rational ``c``, which is already an ``int`` when integral.
+
+        ``num`` and ``den`` stay unset until :meth:`__getattr__` builds them.
+        """
         out = object.__new__(cls)
         out.valuation = valuation
-        out.num = Polynomial({_ONE_MONOMIAL: c} if c else {})
-        out.den = Polynomial.one()
         out.const = c
         return out
+
+    def __getattr__(self, name):
+        # reached when plain lookup fails; only a constant class's unset
+        # num and den are built here
+        c = self.const if name == "num" or name == "den" else None
+        if c is None:
+            raise AttributeError(f"'ResidueElement' object has no attribute {name!r}")
+        self.num = Polynomial({_ONE_MONOMIAL: c} if c else {})
+        self.den = Polynomial.one()
+        return self.num if name == "num" else self.den
 
     @classmethod
     def _make(cls, valuation, num: Polynomial, den: Polynomial) -> "ResidueElement":
@@ -308,7 +334,7 @@ class ResidueElement:
         return other
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.const == 0
 
     def rep(self) -> RationalFunction:
         if self.is_zero():

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, report rendering, determinism."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -264,3 +265,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 1
     assert "verdict: CONFLICT" in proc.stdout
+
+
+@pytest.mark.parametrize("command, setup, code", [
+    ("build", "chain_radical.vt", 0),
+    ("counterexample", "counterexample_conflict.vt", 1),
+])
+def test_closed_stdout_ends_quietly_with_the_verdict(command, setup, code):
+    # the reader is gone before the report is written, as in `| head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "valtwist", command, "--setup", setup_path(setup)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == code

@@ -425,6 +425,39 @@ def test_one_term_quotient_matches_general_normalization(mn, cn, md, cd):
     assert _typed_terms(f.den) == _typed_terms(want_den)
 
 
+# --- over one and times one --------------------------------------------------
+#
+# A quotient over the polynomial 1 keeps its numerator, and a product with
+# the polynomial 1 is the other operand; both must store what the general
+# path stores, coefficient types included, and leave every operand as it was.
+
+# the dict constructor keeps integral Fractions, so both spellings of 1 occur
+_any_polys = st.dictionaries(_monos, _any_coeffs, max_size=4).map(Polynomial)
+
+
+@given(_any_polys, st.sampled_from([1, Fraction(1)]))
+def test_over_one_and_times_one_match_the_general_path(p, one):
+    unit = Polynomial({Monomial(): one})
+    p_before, unit_before = _typed_terms(p), _typed_terms(unit)
+    if p.is_zero():
+        want_num, want_den = Polynomial.zero(), Polynomial.one()
+    else:
+        want_num, want_den = _general_normalization(p, unit)
+    quotients, products = [RationalFunction(p, unit)], [p * unit, unit * p]
+    if type(one) is int:
+        # the int 1 stands for the polynomial 1 too
+        quotients.append(RationalFunction(p))
+        products += [p * 1, 1 * p]
+    for f in quotients:
+        assert _typed_terms(f.num) == _typed_terms(want_num)
+        assert _typed_terms(f.den) == _typed_terms(want_den)
+    # the general one-term product multiplies every coefficient by the unit's
+    want = Polynomial({m: c * one for m, c in p.terms.items()})
+    for got in products:
+        assert _typed_terms(got) == _typed_terms(want)
+    assert _typed_terms(p) == p_before and _typed_terms(unit) == unit_before
+
+
 # --- monomial order against dense exponent vectors ---------------------------
 #
 # The documented variable order, written out for the sampled names; a

@@ -1,5 +1,6 @@
 """Ordered group elements, lex order, and finitely generated subgroups."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import valtwist
 from valtwist.errors import DimensionMismatchError
-from valtwist.ordgroup import FgSubgroup, GroupElement, rationally_independent
+from valtwist.ordgroup import FgSubgroup, GroupElement, _reduced, rationally_independent
 
 
 def g(*coords):
@@ -348,21 +349,36 @@ def test_group_element_matches_fraction_tuple_oracle(points, n):
 
 
 @settings(max_examples=300)
-@given(_oracle_points(2))
-def test_equal_points_built_differently_are_equal_and_hash_alike(points):
+@given(_oracle_points(2), st.integers(-5, 5).filter(bool), st.integers(2, 6))
+def test_equal_points_built_differently_are_equal_and_hash_alike(points, n, k):
     a, b = points
     whole = GroupElement(a)
-    # the same point as a sum of two parts, as six times its sixth, from
-    # strings, and copied from another element
+    # the same point as a sum or difference of two parts, as n times its
+    # n-th, negated twice, from strings, Fractions or ints, parsed, copied,
+    # and reduced from k-fold numerators
     rest = tuple(x - y for x, y in zip(a, b))
-    for other in (
+    ways = [
         GroupElement(b) + GroupElement(rest),
+        GroupElement(tuple(x + y for x, y in zip(a, b))) - GroupElement(b),
+        -GroupElement(tuple(-x for x in a)),
         6 * GroupElement(tuple(x / 6 for x in a)),
+        n * GroupElement(tuple(x / n for x in a)),
+        GroupElement(tuple(x / n for x in a)) * n,
         GroupElement(tuple(str(x) for x in a)),
+        GroupElement(tuple(Fraction(x) for x in a)),
+        GroupElement.parse(str(whole)),
         GroupElement(whole),
-    ):
+        copy.copy(whole),
+        copy.deepcopy(whole),
+        _reduced(tuple(k * x for x in whole.num), k * whole.den),
+    ]
+    if all(x.denominator == 1 for x in a):
+        ways.append(GroupElement(tuple(int(x) for x in a)))
+    for other in ways:
         assert other == whole and hash(other) == hash(whole)
         assert other.coords == a
+        # the hash is cached when an element is made, with the value it always had
+        assert hash(other) == hash((other.num, other.den))
 
 
 @settings(max_examples=300)

@@ -9,6 +9,7 @@ from valtwist.mpoly import (
     Monomial,
     Polynomial,
     RationalFunction,
+    _coeff,
     parse_polynomial,
     parse_rational_function,
 )
@@ -267,3 +268,83 @@ def test_constant_class_arithmetic_matches_rational_functions(a, b):
         assert got.rep() == want and str(got) == str(want)
         assert type(got.const) is (int if got.const.denominator == 1 else Fraction)
     assert (a == b) == (a.rep() == b.rep())
+
+
+# --- lazy constant classes ---------------------------------------------------
+#
+# A constant class leaves num and den unset until they are read; what it
+# then shows must be the eager form c / 1 (0 / 1 for zero), coefficient
+# types included.
+
+_class_constants = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+@given(_class_constants, st.sampled_from(["num", "str", "rep", "as_rational"]))
+def test_lazy_constant_classes_match_the_eager_form(c, first_read):
+    c = _coeff(c)
+    num, den = Polynomial({Monomial(): c} if c else {}), Polynomial.one()
+    eager_rep = RationalFunction(0) if c == 0 else RationalFunction(num, den)
+    classes = [
+        _vxyz.residue_constant(c),
+        _vxyz.residue_constant(Fraction(c)),
+        _vxyz.residue_one() * c,
+        -_vxyz.residue_constant(-c),
+    ]
+    if c == 0:
+        u = _vxyz.residue(RF("3*x / 2*y"))
+        classes += [_vxyz.residue_zero(), u - u]
+    else:
+        classes += [
+            _vxyz.residue(RF(f"{c}*x / y"), over=(RF("x / y"),)),  # the residue lane
+            _vxyz.residue(RF("x + z"), over=(RF(f"x / {c}"),)),  # the general path
+        ]
+    for r in classes:
+        for slot in ("num", "den"):
+            with pytest.raises(AttributeError):
+                getattr(ResidueElement, slot).__get__(r)  # not built yet
+        assert r.is_zero() == (c == 0) and r.const == c and type(r.const) is type(c)
+        # the first read builds num and den, whichever method reads them
+        if first_read == "str":
+            assert str(r) == ("0" if c == 0 else str(eager_rep))
+        elif first_read == "rep":
+            assert _terms(r.rep().num) == _terms(eager_rep.num)
+        elif first_read == "as_rational":
+            assert r.as_rational() == c and type(r.as_rational()) is type(c)
+        assert _terms(r.num) == _terms(num) and _terms(r.den) == _terms(den)
+        assert _terms(r.rep().num) == _terms(eager_rep.num)
+        assert _terms(r.rep().den) == _terms(eager_rep.den)
+        assert str(r) == ("0" if c == 0 else str(eager_rep))
+        assert r.as_rational() == c and type(r.as_rational()) is type(c)
+
+
+def test_unset_attributes_other_than_num_and_den_still_raise():
+    r = _vxyz.residue_constant(3)
+    with pytest.raises(AttributeError, match="no attribute 'numerator'"):
+        r.numerator
+    non_constant = _vxyz.residue(RF("x / y"))
+    assert non_constant.const is None and str(non_constant) == "x / y"
+
+
+# --- the monomial value memo --------------------------------------------------
+
+_memo_valuation_weights = {"x": (1, 0), "y": (Fraction(1, 2), -1), "z": (0, Fraction(2, 3))}
+_memo_monos = st.dictionaries(
+    st.sampled_from(["x", "y", "z"]), st.integers(1, 3), max_size=3
+).map(lambda d: Monomial(tuple(d.items())))
+
+
+@given(st.lists(_memo_monos, min_size=1, max_size=12))
+def test_lattice_memo_agrees_with_a_fresh_computation(monos):
+    v = MonomialValuation(_memo_valuation_weights)
+    # a second round of rebuilt, equal monomials reads what the first stored
+    for m in monos + [Monomial(m.exps) for m in monos]:
+        fresh = sum((e * v.weights[var] for var, e in m.exps), v.group_zero)
+        assert v.monomial_value(m) == fresh
+        assert v._lattice(m) == MonomialValuation(_memo_valuation_weights)._lattice(m)
+    # a variable without a weight raises on every call, memo or not
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no weight configured for variable 'w'"):
+            v.monomial_value(Monomial((("x", 1), ("w", 1))))
