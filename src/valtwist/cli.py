@@ -229,9 +229,9 @@ def _analyzer_records(r: AnalyzerReport) -> list:
         status = "consistent" if f.consistent else "INCONSISTENT"
         records.append(
             _line(
-                f"forced identity p={f.p}: {status}: {f.lhs} vs {f.rhs}",
+                f"forced identity p={f.n}: {status}: {f.lhs} vs {f.rhs}",
                 "forced_power",
-                p=f.p,
+                p=f.n,
                 consistent=f.consistent,
                 lhs=f.lhs,
                 rhs=f.rhs,

@@ -48,7 +48,7 @@ from .mpoly import (
     rf_nth_root,
 )
 from .ordgroup import FgSubgroup, GroupElement
-from .twist import ChoiceFunction, ExtensionStep, GeneratorChoice, TableChoice
+from .twist import ChoiceFunction, ExtensionStep, GeneratorChoice, TableChoice, _check_witness
 from .valuation import MonomialValuation
 
 __all__ = [
@@ -95,11 +95,7 @@ def extend_choice(base: SubgroupWithChoice, gamma, x_gamma) -> SubgroupWithChoic
     x_gamma = as_rational_function(x_gamma)
     if base.subgroup.contains(gamma):
         raise ValueError(f"{gamma} already lies in the base subgroup")
-    if x_gamma.is_zero() or v.value(x_gamma) != gamma:
-        raise ValueError(
-            f"witness for {gamma} has value "
-            f"{'undefined' if x_gamma.is_zero() else v.value(x_gamma)}, expected {gamma}"
-        )
+    _check_witness(v, x_gamma, gamma)
     n0 = base.subgroup.min_multiple(gamma)
     if n0 is None:
         step = ExtensionStep(gamma, x_gamma, None, None, None, None, x_gamma, None)
@@ -248,14 +244,6 @@ def _exponents(primes, f: RationalFunction) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ForcedPowerRecord:
-    p: int
-    consistent: bool
-    lhs: str
-    rhs: str
-
-
-@dataclass(frozen=True)
 class RootRecord:
     p: int
     root: str | None
@@ -272,24 +260,28 @@ class ConsistentTable:
 
 @dataclass(frozen=True)
 class AnalyzerReport:
-    """Everything the analyzer established about one finite prime set."""
+    """Everything the analyzer established about one finite prime set.
+
+    Each mode sets only the fields it establishes; the others keep their
+    empty defaults.
+    """
 
     primes: tuple[int, ...]
     mode: str  # "vacuous" | "table" | "enumerate"
-    degree_bound: int | None
-    candidates: tuple[tuple[str, str], ...] | None
-    initial_table: tuple[tuple[str, str], ...] | None
-    forced: tuple[ForcedPowerRecord, ...]
-    roots: tuple[RootRecord, ...]
-    unit_degree: int | None
-    degree_caveat: bool
-    lcm_primes: int | None
-    divisible: bool | None
-    conflict_detail: str | None
-    pool_sizes: tuple[tuple[str, int], ...] | None
-    consistent_tables: tuple[ConsistentTable, ...] | None
     verdict: str  # "VACUOUS" | "CONFLICT" | "DIVISIBILITY"
     narrative: tuple[str, ...]
+    degree_bound: int | None = None
+    candidates: tuple[tuple[str, str], ...] | None = None
+    initial_table: tuple[tuple[str, str], ...] | None = None
+    forced: tuple[PowerCheck, ...] = ()
+    roots: tuple[RootRecord, ...] = ()
+    unit_degree: int | None = None
+    degree_caveat: bool = False
+    lcm_primes: int | None = None
+    divisible: bool | None = None
+    conflict_detail: str | None = None
+    pool_sizes: tuple[tuple[str, int], ...] | None = None
+    consistent_tables: tuple[ConsistentTable, ...] | None = None
 
     @property
     def exit_code(self) -> int:
@@ -358,18 +350,6 @@ def analyze_counterexample(primes, candidates=None, degree_bound: int = 8) -> An
         return AnalyzerReport(
             primes=(),
             mode="vacuous",
-            degree_bound=None,
-            candidates=None,
-            initial_table=None,
-            forced=(),
-            roots=(),
-            unit_degree=None,
-            degree_caveat=False,
-            lcm_primes=None,
-            divisible=None,
-            conflict_detail=None,
-            pool_sizes=None,
-            consistent_tables=None,
             verdict="VACUOUS",
             narrative=("note: an empty prime set forces nothing.",),
         )
@@ -422,9 +402,7 @@ def _analyze_table(primes, valuation, lcm_p, candidates) -> AnalyzerReport:
     conflict_detail = None
     for p in primes:
         check = forced_power_check(initial, GroupElement(Fraction(1, p)), p)
-        forced.append(
-            ForcedPowerRecord(p, check.consistent, str(check.lhs), str(check.rhs))
-        )
+        forced.append(check)
         if not check.consistent and conflict_detail is None:
             conflict_detail = (
                 f"p={p}: {check.identity()}; "
@@ -453,7 +431,8 @@ def _analyze_table(primes, valuation, lcm_p, candidates) -> AnalyzerReport:
     return AnalyzerReport(
         primes=primes,
         mode="table",
-        degree_bound=None,
+        verdict=verdict,
+        narrative=_NARRATIVE_FINITE,
         candidates=tuple((str(d), str(v)) for d, v in raw.items()),
         initial_table=tuple((str(d), str(v)) for d, v in initial.items()),
         forced=tuple(forced),
@@ -463,10 +442,6 @@ def _analyze_table(primes, valuation, lcm_p, candidates) -> AnalyzerReport:
         lcm_primes=lcm_p,
         divisible=divisible,
         conflict_detail=conflict_detail,
-        pool_sizes=None,
-        consistent_tables=None,
-        verdict=verdict,
-        narrative=_NARRATIVE_FINITE,
     )
 
 
@@ -513,22 +488,15 @@ def _analyze_enumeration(primes, valuation, lcm_p, degree_bound) -> AnalyzerRepo
     return AnalyzerReport(
         primes=primes,
         mode="enumerate",
-        degree_bound=degree_bound,
-        candidates=None,
-        initial_table=None,
-        forced=(),
-        roots=(),
-        unit_degree=None,
-        degree_caveat=False,
-        lcm_primes=lcm_p,
-        divisible=all(t.divisible for t in tables),
-        conflict_detail=None,
-        pool_sizes=tuple(pool_sizes),
-        consistent_tables=tuple(tables),
         verdict="DIVISIBILITY",
         narrative=(
             "note: candidate values are unit-coefficient monomial quotients;"
             " constants change neither degrees nor the forced identities' shape.",
         )
         + _NARRATIVE_FINITE,
+        degree_bound=degree_bound,
+        lcm_primes=lcm_p,
+        divisible=all(t.divisible for t in tables),
+        pool_sizes=tuple(pool_sizes),
+        consistent_tables=tuple(tables),
     )

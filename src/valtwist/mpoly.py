@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import add, sub
 
 __all__ = [
@@ -135,9 +135,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def variables(self):
-        return {var for var, _ in self.exps}
-
     def exponent(self, var: str) -> int:
         for v, e in self.exps:
             if v == var:
@@ -172,13 +169,6 @@ class Monomial:
         out.extend(b[j:])
         return Monomial._raw(tuple(out))
 
-    def pow(self, n: int) -> "Monomial":
-        if n < 0:
-            raise ValueError("monomial powers must be non-negative")
-        if n == 0 or not self.exps:
-            return _ONE_MONOMIAL
-        return Monomial._raw(tuple((var, e * n) for var, e in self.exps))
-
     def div(self, other: "Monomial") -> "Monomial | None":
         """Exact quotient self / other, or None if some exponent would go negative."""
         if not other.exps:
@@ -200,11 +190,6 @@ class Monomial:
             return _ONE_MONOMIAL
         b = dict(other.exps)
         return Monomial._raw(tuple((var, min(e, b[var])) for var, e in self.exps if var in b))
-
-    def root(self, n: int) -> "Monomial | None":
-        if any(e % n for _, e in self.exps):
-            return None
-        return Monomial._raw(tuple((var, e // n) for var, e in self.exps))
 
     def _cmp(self, other: "Monomial") -> int:
         a, b = self.exps, other.exps
@@ -307,12 +292,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def variables(self):
-        out = set()
-        for mono in self.terms:
-            out |= mono.variables()
-        return out
-
     def sorted_terms(self):
         """Terms in descending lex order (leading first)."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
@@ -321,12 +300,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         m = max(self.terms)
-        return m, self.terms[m]
-
-    def trailing(self):
-        if not self.terms:
-            raise ValueError("the zero polynomial has no trailing term")
-        m = min(self.terms)
         return m, self.terms[m]
 
     def total_degree(self) -> int:
@@ -441,14 +414,6 @@ class Polynomial:
                 break
         return content
 
-    def numeric_content(self) -> int | Fraction:
-        """Positive rational g with self/g integral, primitive; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        num = gcd(*(c.numerator for c in self.terms.values()))
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return _div(num, den)
-
     def divide_monomial(self, mono: Monomial) -> "Polynomial":
         acc = {}
         for m, c in self.terms.items():
@@ -530,9 +495,6 @@ class RationalFunction:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
 
     def constant_value(self) -> int | Fraction:
         return _div(self.num.constant_value(), self.den.constant_value())

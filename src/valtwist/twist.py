@@ -39,6 +39,14 @@ __all__ = [
 ]
 
 
+def _check_witness(valuation: MonomialValuation, f: RationalFunction, gamma, what="witness"):
+    """Raise ValueError unless f is nonzero with value exactly gamma; ``what`` names f."""
+    value = None if f.is_zero() else valuation.value(f)
+    if value is None or value != gamma:
+        shown = "undefined" if value is None else value
+        raise ValueError(f"{what} for {gamma} has value {shown}, expected {gamma}")
+
+
 class ChoiceFunction:
     """Base for the concrete choice-function kinds.
 
@@ -84,10 +92,6 @@ class ChoiceFunction:
                 if contains(a + b):
                     yield a, b
 
-    def domain_pairs(self, bound: int) -> list[tuple[GroupElement, GroupElement]]:
-        """Every pair of :meth:`iter_domain_pairs`, as a list."""
-        return list(self.iter_domain_pairs(bound))
-
     def twisting(self, g1: GroupElement, g2: GroupElement) -> ResidueElement:
         return self.twist_table(g1, g2)
 
@@ -111,11 +115,7 @@ class TableChoice(ChoiceFunction):
                     f"degree {gamma} has dimension {gamma.dim}, expected {valuation.dim}"
                 )
             f = as_rational_function(f)
-            if f.is_zero() or valuation.value(f) != gamma:
-                raise ValueError(
-                    f"table entry for {gamma} has value "
-                    f"{'undefined' if f.is_zero() else valuation.value(f)}, expected {gamma}"
-                )
+            _check_witness(valuation, f, gamma, "table entry")
             self.table[gamma] = f
         one = RationalFunction(1)
         if zero in self.table:
@@ -205,11 +205,7 @@ class GeneratorChoice(ChoiceFunction):
         if free.rank != len(gens):
             raise ValueError("generators must be rationally independent")
         for g, w in zip(gens, wits):
-            if w.is_zero() or valuation.value(w) != g:
-                raise ValueError(
-                    f"witness for {g} has value "
-                    f"{'undefined' if w.is_zero() else valuation.value(w)}, expected {g}"
-                )
+            _check_witness(valuation, w, g)
         self.generators = tuple(gens)
         self.witnesses = tuple(wits)
         self.steps = tuple(steps)
@@ -222,11 +218,6 @@ class GeneratorChoice(ChoiceFunction):
     def step(self) -> ExtensionStep | None:
         """The last radical step, or None for a free choice."""
         return self.steps[-1] if self.steps else None
-
-    @property
-    def factor(self) -> RationalFunction | None:
-        """The last step's factor, or None for a free choice."""
-        return self.steps[-1].factor if self.steps else None
 
     def _evaluate(self, gamma: GroupElement) -> RationalFunction:
         coeffs = self.subgroup.decompose(gamma)

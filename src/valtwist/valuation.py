@@ -27,14 +27,16 @@ quotient is never normalized whole only to drop its higher-value tails.
 
 A :class:`ResidueElement` is a value-zero class of the residue field,
 represented by a quotient of initial polynomials of equal value (or the
-zero class, which only arises from additive cancellation).  Most classes
-met in practice are rational numbers: a twisting or a ψ coefficient of
-one-term quotients whose monomials cancel.  Such a constant class carries
-its rational from the moment :meth:`MonomialValuation.residue` creates it,
-and products, sums and comparisons of constant classes are rational
-arithmetic, with no polynomial product and no quotient normalization.  Its
-``num`` and ``den`` polynomials are built only when first read (for a
-printed report, ``rep`` or a cross product with a non-constant class).
+zero class, which only arises from additive cancellation).  Its ``const``
+is set exactly when the class is a rational number, also one hidden behind
+a common factor that is not a monomial; the normalizing constructor
+:meth:`ResidueElement._make` decides that in one place.  Most classes met
+in practice are rational: a twisting or a ψ coefficient of one-term
+quotients whose monomials cancel.  Products, sums and comparisons of
+rational classes are rational arithmetic, with no polynomial product and
+no quotient normalization, and their ``num`` and ``den`` are built only
+when first read (for a printed report, ``rep`` or a cross product with a
+non-rational class).
 """
 
 from __future__ import annotations
@@ -169,11 +171,6 @@ class MonomialValuation:
     def initial_part(self, p: Polynomial) -> Polynomial:
         return self._initial(p)[0]
 
-    def is_initial(self, p: Polynomial) -> bool:
-        if p.is_zero():
-            return False
-        return len(set(map(self._lattice, p.terms))) == 1
-
     def initial_rf(self, f) -> RationalFunction:
         """The quotient of initial parts; same initial class, canonical shape."""
         f = as_rational_function(f)
@@ -275,13 +272,13 @@ class ResidueElement:
     cross-multiplied polynomial equality, exact because initial parts are
     multiplicative for monomial valuations.
 
-    A constant class also carries its rational number as ``const`` (an
-    ``int`` when integral; None for a non-constant class), and ``is_zero``
-    reads it.  Products, sums and equality of two constant classes are
-    rational arithmetic on ``const``.  A constant class built by
-    :meth:`_constant` leaves ``num`` and ``den`` unset until one is first
-    read; they are then stored as the general path stores a constant:
-    ``c`` over 1, or 0 over 1.
+    ``const`` is the class as a rational number (an ``int`` when integral)
+    when it is one, and None exactly when it is not; ``is_zero`` reads it.
+    :meth:`_make` normalizes a quotient and decides that; the constructor
+    takes a quotient that is not a rational number as given.  Products,
+    sums and equality of two rational classes are rational arithmetic on
+    ``const``.  A rational class leaves ``num`` and ``den`` unset until one
+    is first read; they are then stored as ``c`` over 1, or 0 over 1.
     """
 
     __slots__ = ("valuation", "num", "den", "const")
@@ -290,13 +287,7 @@ class ResidueElement:
         self.valuation = valuation
         self.num = num
         self.den = den
-        # this module builds its constant classes with _constant; this
-        # covers quotients that callers pass in directly
-        self.const = (
-            _div(num.constant_value(), den.constant_value())
-            if num.is_constant() and den.is_constant()
-            else None
-        )
+        self.const = None
 
     @classmethod
     def _constant(cls, valuation, c) -> "ResidueElement":
@@ -321,10 +312,20 @@ class ResidueElement:
 
     @classmethod
     def _make(cls, valuation, num: Polynomial, den: Polynomial) -> "ResidueElement":
+        """The class of num / den, rational exactly when num is a rational multiple of den."""
         rf = RationalFunction(num, den)
-        if rf.is_constant():
-            return cls._constant(valuation, rf.constant_value())
-        return cls(valuation, rf.num, rf.den)
+        num, den = rf.num, rf.den
+        if not num.terms:
+            return cls._constant(valuation, 0)
+        if len(num.terms) == len(den.terms):
+            # if num = c·den, any monomial of num is one of den, with the ratio c
+            m, nc = next(iter(num.terms.items()))
+            dc = den.terms.get(m)
+            if dc is not None:
+                c = _div(nc, dc)
+                if num.terms == den.scale(c).terms:
+                    return cls._constant(valuation, c)
+        return cls(valuation, num, den)
 
     def _check(self, other) -> "ResidueElement":
         if not isinstance(other, ResidueElement):
@@ -418,21 +419,20 @@ class ResidueElement:
         return self.num * other.den == other.num * self.den
 
     def nth_root(self, n: int) -> RationalFunction | None:
-        """A field element a with residue(a**n) == self, or None (incomplete)."""
+        """A field element a with residue(a**n) == self, or None.
+
+        For a rational class None is a disproof: Kv is purely transcendental
+        over Q, so a rational number has an n-th root in Kv exactly when it
+        has one in Q, and the root of a constant is decided exactly.  For
+        any other class None means only that no root was found.
+        """
         if self.is_zero():
             return None
         return rf_nth_root(self.rep(), n)
 
     def as_rational(self) -> int | Fraction | None:
-        """The class as a rational number, or None if it is not constant."""
-        if self.const is not None:
-            return self.const
-        nm, nc = self.num.leading()
-        dm, dc = self.den.leading()
-        if nm != dm:
-            return None
-        c = _div(nc, dc)
-        return c if self.num == self.den.scale(c) else None
+        """The class as a rational number, or None if it is not one."""
+        return self.const
 
     def __str__(self):
         return "0" if self.is_zero() else str(self.rep())

@@ -164,7 +164,7 @@ def test_criterion_7_counterexample_lemmas():
         GroupElement(1): parse_rational_function("2*x2^2 + x2^4"),
     })
     init = make_initial(raw)
-    for a, b in raw.domain_pairs(1):
+    for a, b in raw.iter_domain_pairs(1):
         assert raw.twisting(a, b) == init.twisting(a, b)
 
     # the forced identity is decided on initial parts

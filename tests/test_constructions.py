@@ -71,14 +71,14 @@ class TestExtensionStep:
         assert str(s.x0) == "64*z^6"
         assert str(s.root_class) == "64"
         assert str(s.root_witness) == "8"
-        assert str(p1.choice.factor) == "8*z^3"
+        assert str(p1.choice.step.factor) == "8*z^3"
         assert p1.certified_trivial
 
     def test_full_chain_frozen(self, zchain_base):
         p1 = extend_choice(zchain_base, ge("1/2"), "z^3")
         p2 = extend_choice(p1, ge("1/6"), "z")
         s = p2.choice.step
-        assert (s.n0, str(s.root_witness), str(p2.choice.factor)) == (3, "2", "2*z")
+        assert (s.n0, str(s.root_witness), str(p2.choice.step.factor)) == (3, "2", "2*z")
         eps = p2.choice
         assert eps(ge("1/6")) == RF("2*z")
         assert eps(ge("1/3")) == RF("4*z^2")
@@ -147,7 +147,7 @@ class TestExtensionStep:
         p2 = extend_choice(p1, GroupElement((Fraction(1, 2), Fraction(1, 2))), "u")
         eps = p2.choice
         assert [s.n0 for s in eps.steps] == [None, 2]
-        assert str(eps.factor) == "2*u"
+        assert str(eps.step.factor) == "2*u"
         assert eps(GroupElement((Fraction(3, 2), Fraction(1, 2)))) == RF("8*u^3 / y")
         assert eps(GroupElement((Fraction(3, 2), Fraction(-1, 2)))) == RF("8*u^3 / y^2")
         window = eps.domain_elements(2)
@@ -185,7 +185,7 @@ class TestMakeInitial:
             GroupElement(1): RF("2*x2^2 + x2^4"),
         })
         init = make_initial(raw)
-        for a, b in raw.domain_pairs(1):
+        for a, b in raw.iter_domain_pairs(1):
             assert raw.twisting(a, b) == init.twisting(a, b)
 
     def test_rule_based_choices_rejected(self):
@@ -227,7 +227,7 @@ class TestAnalyzer:
         assert rep.conflict_detail == (
             "p=3: x3^3 != x2^2; epsilon-bar(1/3, 2/3) = x3^3 / x2^2 != 1"
         )
-        assert [(f.p, f.consistent) for f in rep.forced] == [(2, True), (3, False)]
+        assert [(f.n, f.consistent) for f in rep.forced] == [(2, True), (3, False)]
         assert [(r.p, r.root, r.divides) for r in rep.roots] == [
             (2, "x2", True),
             (3, None, False),

@@ -4,7 +4,8 @@ Each case replays one command through ``cli.main`` and compares stdout
 byte-for-byte with ``tests/golden/<setup>.<command>[.machine].out`` and the
 exit code with ``tests/golden/exit_codes.json``.  The setups come from
 ``setups/`` and, for report paths no bundled setup reaches (analyzer roots,
-the degree caveat, a vacuous prime set, a choice without lifting), from
+the degree caveat, a vacuous prime set, a choice without lifting, a
+radical step whose class is a rational behind a common factor), from
 ``tests/golden/setups/``.
 
 To regenerate the files from the code on ``PYTHONPATH`` (only at a commit
@@ -46,6 +47,7 @@ CASES = [
         ("build", SETUPS, BUILD_SETUPS),
         ("counterexample", SETUPS, ANALYZER_SETUPS),
         ("counterexample", FROZEN_SETUPS, FROZEN_ANALYZER_SETUPS),
+        ("build", FROZEN_SETUPS, ("hidden_constant",)),
         ("ring-axioms", FROZEN_SETUPS, ("table_nolift",)),
         ("iso-verify", FROZEN_SETUPS, ("table_nolift",)),
     )

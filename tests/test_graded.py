@@ -212,9 +212,17 @@ _small_coeffs = st.one_of(
 
 
 def _residue_by_quotient(v, q):
-    """The residue of a value-zero field element: initial parts of its normalized form."""
+    """The residue of a value-zero field element: initial parts of its normalized form.
+
+    The class is the rational c when the numerator is c times the
+    denominator, decided here from the leading terms and one scaled compare.
+    """
     assert v.value(q) == v.group_zero
     rep = v.initial_rf(q)
+    (nm, nc), (dm, dc) = rep.num.leading(), rep.den.leading()
+    c = Fraction(nc) / dc
+    if nm == dm and rep.num == rep.den.scale(c):
+        return v.residue_constant(c)
     return ResidueElement(v, rep.num, rep.den)
 
 
@@ -247,6 +255,15 @@ def _random_free_choice(seed):
     return GeneratorChoice(v, gens, wits)
 
 
+def _random_unit(v, data):
+    """A drawn polynomial p over a least-value term of p: value 0 and, with
+    ties, a non-constant class."""
+    names = sorted(v.weights)
+    monos = st.lists(st.tuples(st.sampled_from(names), st.integers(0, 2)), max_size=3).map(Monomial)
+    p = data.draw(st.dictionaries(monos, _small_coeffs, min_size=1, max_size=3).map(Polynomial))
+    return RationalFunction(p, Polynomial.term(min(p.terms, key=v.monomial_value), 1))
+
+
 def _choice(kind, seed):
     if kind == "table":
         return random_setup(random.Random(seed), seed % 97).eps
@@ -272,19 +289,61 @@ def test_psi_matches_whole_quotient_route(kind, seed, data):
     eps = _choice(kind, seed)
     assume(eps is not None)
     v = eps.valuation
-    names = sorted(v.weights)
-    monos = st.lists(st.tuples(st.sampled_from(names), st.integers(0, 2)), max_size=3).map(Monomial)
-    polys = st.dictionaries(monos, _small_coeffs, min_size=1, max_size=3).map(Polynomial)
-
-    def unit(p):
-        # p over a least-value term of p: value 0 and, with ties, a non-constant class
-        return RationalFunction(p, Polynomial.term(min(p.terms, key=v.monomial_value), 1))
-
     for _ in range(3):
         d = data.draw(st.sampled_from(eps.domain_elements(2)))
-        x = eps(d) * unit(data.draw(polys)) * unit(data.draw(polys))
+        x = eps(d) * _random_unit(v, data) * _random_unit(v, data)
         h = in_v(v, x)
         assert h.degree == d
         got = psi(eps, h).coeffs[d]
         _assert_same_residue(got, _residue_by_quotient(v, h.rep / eps(d)))
         _assert_same_residue(got, _residue_by_quotient(v, x / eps(d)))
+
+
+# --- rational classes against sympy ---------------------------------------------
+#
+# A class is a rational number exactly when ``const`` is set.  sympy's
+# cancel, which removes every common factor, decides that independently on
+# twistings and psi coefficients of the same choices as above, and on
+# quotients of such classes, which share a factor that is not a monomial
+# whenever the class is not rational.
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_quotient(sp, f):
+    def poly(p):
+        total = sp.Integer(0)
+        for mono, c in p.terms.items():
+            term = sp.Rational(c.numerator, c.denominator)
+            for var, e in mono.exps:
+                term *= sp.Symbol(var) ** e
+            total += term
+        return total
+
+    return sp.cancel(poly(f.num) / poly(f.den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["table", "free"]), _setup_seeds, st.data())
+def test_const_is_set_exactly_for_rational_classes(sp, kind, seed, data):
+    eps = _choice(kind, seed)
+    assume(eps is not None)
+    v = eps.valuation
+    elements = eps.domain_elements(2)
+    classes = []
+    for _ in range(3):
+        a = data.draw(st.sampled_from(elements))
+        b = data.draw(st.sampled_from([b for b in elements if eps.contains(a + b)]))
+        classes.append(eps.twisting(a, b))
+        x = eps(a) * _random_unit(v, data) * _random_unit(v, data)
+        classes.append(psi(eps, in_v(v, x)).coeffs[a])
+    c = data.draw(_small_coeffs)
+    classes += [r * (r * c).inv() for r in classes]
+    for r in classes:
+        q = _sympy_quotient(sp, r.rep())
+        assert (r.const is not None) == q.is_Rational, (str(r), q)
+        if r.const is not None:
+            assert q == sp.Rational(r.const.numerator, r.const.denominator)

@@ -1,6 +1,7 @@
 """Multivariate polynomials, rational functions, exact roots, and the text grammar."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,39 @@ def P(text):
 
 def RF(text):
     return parse_rational_function(text)
+
+
+# helpers the library no longer needs; the tests and references below use them
+
+
+def _monomial_pow(m, n):
+    if n < 0:
+        raise ValueError("monomial powers must be non-negative")
+    if n == 0 or not m.exps:
+        return Monomial()
+    return Monomial._raw(tuple((var, e * n) for var, e in m.exps))
+
+
+def _monomial_root(m, n):
+    if any(e % n for _, e in m.exps):
+        return None
+    return Monomial._raw(tuple((var, e // n) for var, e in m.exps))
+
+
+def _trailing(p):
+    if not p.terms:
+        raise ValueError("the zero polynomial has no trailing term")
+    m = min(p.terms)
+    return m, p.terms[m]
+
+
+def _numeric_content(p):
+    """Positive rational g with p/g integral, primitive; 0 for the zero polynomial."""
+    if not p.terms:
+        return 0
+    num = gcd(*(c.numerator for c in p.terms.values()))
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return _div(num, den)
 
 
 class TestMonomial:
@@ -50,8 +84,8 @@ class TestMonomial:
         m1 = Monomial((("x", 2), ("y", 1)))
         m2 = Monomial((("y", 2), ("z", 3)))
         assert str(m1.mul(m2)) == "x^2*y^3*z^3"
-        assert m1.pow(3) == Monomial((("x", 6), ("y", 3)))
-        assert m1.pow(0).is_one()
+        assert _monomial_pow(m1, 3) == Monomial((("x", 6), ("y", 3)))
+        assert _monomial_pow(m1, 0).is_one()
         assert m1.div(Monomial((("x", 1),))) == Monomial((("x", 1), ("y", 1)))
         assert m1.div(m2) is None
 
@@ -59,8 +93,8 @@ class TestMonomial:
         m1 = Monomial((("x", 2), ("y", 1)))
         m2 = Monomial((("y", 2), ("z", 3)))
         assert m1.gcd(m2) == Monomial((("y", 1),))
-        assert Monomial((("x", 4), ("y", 2))).root(2) == m1
-        assert Monomial((("x", 3),)).root(2) is None
+        assert _monomial_root(Monomial((("x", 4), ("y", 2))), 2) == m1
+        assert _monomial_root(Monomial((("x", 3),)), 2) is None
         assert m1.degree() == 3
 
     def test_lex_order(self):
@@ -101,7 +135,7 @@ class TestPolynomial:
     def test_leading_trailing(self):
         p = P("x^2*y + x*y^3 + y^5")
         assert str(p.leading()[0]) == "x^2*y"
-        assert str(p.trailing()[0]) == "y^5"
+        assert str(_trailing(p)[0]) == "y^5"
         with pytest.raises(ValueError):
             Polynomial.zero().leading()
 
@@ -113,9 +147,9 @@ class TestPolynomial:
     def test_contents(self):
         assert str(P("x^2*y + x*y^2").monomial_content()) == "x*y"
         assert P("x + y^2").monomial_content().is_one()
-        assert P("2*x + 4*y").numeric_content() == 2
-        assert P("1/2*x + 3/4*y").numeric_content() == Fraction(1, 4)
-        assert Polynomial.zero().numeric_content() == 0
+        assert _numeric_content(P("2*x + 4*y")) == 2
+        assert _numeric_content(P("1/2*x + 3/4*y")) == Fraction(1, 4)
+        assert _numeric_content(Polynomial.zero()) == 0
 
     def test_divide_monomial(self):
         q = P("x^2*y + x*y^2").divide_monomial(Monomial((("x", 1), ("y", 1))))
@@ -160,13 +194,13 @@ class TestPolynomial:
         assert type(P("1/2*x").terms[m]) is Fraction
         f = RF("x / 2*y + 4")
         assert str(f) == "1/2*x / y + 2"
-        assert type(f.den.leading()[1]) is int and type(f.den.trailing()[1]) is int
+        assert type(f.den.leading()[1]) is int and type(_trailing(f.den)[1]) is int
 
     def test_exact_division_never_gives_a_float(self):
         assert type(RationalFunction(2).constant_value()) is int
         c = RationalFunction(Polynomial.constant(2), Polynomial.constant(4)).constant_value()
         assert c == Fraction(1, 2) and type(c) is Fraction
-        assert type(P("2*x + 4*y").numeric_content()) is int
+        assert type(_numeric_content(P("2*x + 4*y"))) is int
         assert nth_root(P("1/4*x^2 + x + 1"), 2) in (P("1/2*x + 1"), P("-1/2*x - 1"))
 
 
@@ -499,17 +533,17 @@ def _nth_root_repowering(f, n):
         return Polynomial.zero()
     lm, lc = f.leading()
     root_c = _rational_nth_root(lc, n)
-    root_m = lm.root(n)
+    root_m = _monomial_root(lm, n)
     if root_c is None or root_m is None:
         return None
-    tm, tc = f.trailing()
-    if tm.root(n) is None or _rational_nth_root(tc, n) is None:
+    tm, tc = _trailing(f)
+    if _monomial_root(tm, n) is None or _rational_nth_root(tc, n) is None:
         return None
     if f.total_degree() % n:
         return None
     g = Polynomial.term(root_m, root_c)
     denom_c = n * root_c ** (n - 1)
-    denom_m = root_m.pow(n - 1)
+    denom_m = _monomial_pow(root_m, n - 1)
     cap = 4 * len(f) + 4 * f.total_degree() + 16
     last = root_m
     h = f - g**n

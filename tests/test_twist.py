@@ -135,7 +135,7 @@ class TestTwisting:
         assert free.twisting(a, b) == 1
 
     def test_domain_pairs_respect_bound(self, free):
-        pairs = free.domain_pairs(4)
+        pairs = list(free.iter_domain_pairs(4))
         assert pairs
         for a, b in pairs:
             assert free.contains(a + b)
