@@ -43,7 +43,7 @@ from .constructions import (
     make_initial,
     monomial_pool,
 )
-from .setupfile import SetupFile, load_setup, parse_document, render_document
+from .setupfile import SetupFile, load_setup, parse_document
 from .twist import (
     ChoiceFunction,
     GeneratorChoice,

@@ -8,6 +8,11 @@ Four subcommands, all driven by a setup file:
 * ``build``         — run the free/extension construction and dump the result
 * ``counterexample`` — the finite-prime analyzer
 
+Every command takes ``--setup FILE`` and ``--machine``.  A command takes
+``--seed`` or ``--bound`` only if it reads that campaign value from the
+setup (``ring-axioms`` both, ``iso-verify`` the seed, ``build`` the bound),
+so an override that would change nothing is a usage error (exit 2).
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed (a genuine
 conflict), 2 unusable input, 3 a construction step failed (no radical
 witness).  Reports go to stdout, diagnostics to stderr; for a fixed setup
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import os
 import random
 import sys
@@ -124,7 +130,7 @@ def cmd_ring_axioms(setup: SetupFile, seed: int, bound: int):
     return _suite_records(results)
 
 
-def cmd_iso_verify(setup: SetupFile, seed: int, bound: int):
+def cmd_iso_verify(setup: SetupFile, seed: int):
     results = []
     for cs in _setups_for(setup):
         rng = random.Random(seed)
@@ -159,7 +165,7 @@ def _step_records(i: int, step) -> list:
     return [head] + [_line("  " + text) for text in detail]
 
 
-def cmd_build(setup: SetupFile, seed: int, bound: int):
+def cmd_build(setup: SetupFile, bound: int):
     if setup.build is None:
         raise SetupError("the build command needs a [build] section")
     directive = setup.build
@@ -300,23 +306,20 @@ def _analyzer_records(r: AnalyzerReport) -> list:
     return records + [_line(note) for note in r.narrative]
 
 
-def cmd_counterexample(setup: SetupFile, seed: int, bound: int):
+def cmd_counterexample(setup: SetupFile):
     if setup.analyzer is None:
         raise SetupError("the counterexample command needs an [analyzer] section")
     directive = setup.analyzer
-    report = analyze_counterexample(
-        directive.primes,
-        candidates=directive.candidates,
-        degree_bound=directive.degree_bound,
-    )
+    bound = {} if directive.degree_bound is None else {"degree_bound": directive.degree_bound}
+    report = analyze_counterexample(directive.primes, candidates=directive.candidates, **bound)
     return _analyzer_records(report), report.exit_code
 
 
 _COMMANDS = {
-    "ring-axioms": cmd_ring_axioms,
-    "iso-verify": cmd_iso_verify,
-    "build": cmd_build,
-    "counterexample": cmd_counterexample,
+    "ring-axioms": (cmd_ring_axioms, "randomized ring-axiom and cocycle campaigns"),
+    "iso-verify": (cmd_iso_verify, "verify the degreewise isomorphism on random samples"),
+    "build": (cmd_build, "run the free/extension construction and dump the choice function"),
+    "counterexample": (cmd_counterexample, "analyze forced identities over a finite prime set"),
 }
 
 
@@ -326,18 +329,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="exact checks for twisted semigroup rings and graded algebras of monomial valuations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "ring-axioms": "randomized ring-axiom and cocycle campaigns",
-        "iso-verify": "verify the degreewise isomorphism on random samples",
-        "build": "run the free/extension construction and dump the choice function",
-        "counterexample": "analyze forced identities over a finite prime set",
-    }
-    for name, desc in descriptions.items():
+    for name, (command, desc) in _COMMANDS.items():
+        # the campaign values a command reads are its parameters after the setup
+        flags = list(inspect.signature(command).parameters)[1:]
         sp = sub.add_parser(name, help=desc)
         sp.add_argument("--setup", required=True, metavar="FILE", help="setup file")
-        sp.add_argument("--seed", type=int, default=None, help="override the campaign seed")
-        sp.add_argument("--bound", type=int, default=None, help="override the height bound")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", type=int, default=None, help=f"override [campaign] {flag}")
         sp.add_argument("--machine", action="store_true", help="machine-readable report")
+        sp.set_defaults(run=command, flags=flags)
     return parser
 
 
@@ -355,12 +355,13 @@ def main(argv=None) -> int:
         print(f"error: cannot read setup file: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        if args.bound is not None and args.bound < 0:
-            raise SetupError(f"--bound must be non-negative, got {args.bound}")
+        bound = getattr(args, "bound", None)
+        if bound is not None and bound < 0:
+            raise SetupError(f"--bound must be non-negative, got {bound}")
         setup = load_setup(text)
-        seed = args.seed if args.seed is not None else setup.campaign.seed
-        bound = args.bound if args.bound is not None else setup.campaign.bound
-        records, code = _COMMANDS[args.command](setup, seed, bound)
+        flags = {flag: getattr(args, flag) for flag in args.flags}
+        flags = {flag: getattr(setup.campaign, flag) if v is None else v for flag, v in flags.items()}
+        records, code = args.run(setup, **flags)
     except SetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

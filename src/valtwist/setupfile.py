@@ -12,19 +12,18 @@ brace blocks of quoted pairs.
       "2" = "x^2"
     }
 
-Sections: ``[valuation]`` (variable weights), ``[ring]`` (``subring =
-polynomial|field``, optional ``lifting = constants``), ``[campaign]``
-(``seed``, ``bound >= 0``, ``samples >= 1``), any number of ``[choice
-NAME]`` with a ``table { }`` or ``generators { }`` block, ``[build]``
-(``mode = free`` with ``choice = NAME``, or ``mode = extend`` with ``base
-= NAME`` and a ``steps { }`` block applied in file order), and
-``[analyzer]`` (``primes``, ``degree_bound``, optional ``candidates { }``
-block).
+Sections: ``[valuation]`` (variable weights), ``[ring]`` (optional
+``lifting = constants``), ``[campaign]`` (``seed``, ``bound >= 0``,
+``samples >= 1``), any number of ``[choice NAME]`` with a ``table { }`` or
+``generators { }`` block, ``[build]`` (``mode = free`` with ``choice =
+NAME``, or ``mode = extend`` with ``base = NAME`` and a ``steps { }`` block
+applied in file order), and ``[analyzer]`` (``primes``, optional
+``degree_bound``, optional ``candidates { }`` block).
 
-``parse_document`` and ``render_document`` round-trip exactly;
-``load_setup`` interprets a document and rejects anything malformed — in
-particular a tabulated value whose valuation disagrees with its degree —
-with :class:`SetupError`.
+``load_setup`` interprets a setup text and rejects with
+:class:`SetupError` anything malformed — in particular a tabulated value
+whose valuation disagrees with its degree — and every section, key and
+block it did not read, so a misspelt name cannot change what is verified.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "SetupDocument",
     "SetupFile",
     "parse_document",
-    "render_document",
     "load_setup",
 ]
 
@@ -53,6 +51,20 @@ class Section:
     name: str
     entries: dict[str, str] = field(default_factory=dict)
     blocks: dict[str, dict[str, str]] = field(default_factory=dict)
+    # the keys and "NAME {" blocks load_setup read; None until it looks the section up
+    read: set[str] | None = field(default=None, compare=False, repr=False)
+
+    def opened(self) -> "Section":
+        self.read = self.read or set()
+        return self
+
+    def entry(self, key: str) -> str | None:
+        self.read.add(key)
+        return self.entries.get(key)
+
+    def block(self, name: str) -> dict[str, str] | None:
+        self.read.add(name + " {")
+        return self.blocks.get(name)
 
 
 @dataclass
@@ -62,11 +74,21 @@ class SetupDocument:
     def get(self, name: str) -> Section | None:
         for s in self.sections:
             if s.name == name:
-                return s
+                return s.opened()
         return None
 
     def choice_sections(self) -> list[Section]:
-        return [s for s in self.sections if s.name.startswith("choice ")]
+        return [s.opened() for s in self.sections if s.name.startswith("choice ")]
+
+    def reject_unread(self) -> None:
+        """Raise :class:`SetupError` on the first section, key or block not read."""
+        for s in self.sections:
+            if s.read is None:
+                raise SetupError(f"unknown or repeated section [{s.name}]")
+            unread = [f"key {k!r}" for k in s.entries if k not in s.read]
+            unread += [f"block {b!r}" for b in s.blocks if b + " {" not in s.read]
+            if unread:
+                raise SetupError(f"[{s.name}] unknown or unused {unread[0]}")
 
 
 def _strip_comment(line: str) -> str:
@@ -132,22 +154,6 @@ def parse_document(text: str) -> SetupDocument:
     return doc
 
 
-def render_document(doc: SetupDocument) -> str:
-    lines = []
-    for section in doc.sections:
-        if lines:
-            lines.append("")
-        lines.append(f"[{section.name}]")
-        for k, v in section.entries.items():
-            lines.append(f"{k} = {v}")
-        for name, block in section.blocks.items():
-            lines.append(f"{name} {{")
-            for k, v in block.items():
-                lines.append(f'  "{k}" = "{v}"')
-            lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class CampaignConfig:
     seed: int = 0
@@ -166,8 +172,8 @@ class BuildDirective:
 @dataclass
 class AnalyzerDirective:
     primes: tuple[int, ...]
-    degree_bound: int = 8
-    candidates: dict[GroupElement, str] | None = None
+    degree_bound: int | None  # None: the analyzer's own default
+    candidates: dict[GroupElement, str] | None
 
 
 @dataclass
@@ -175,7 +181,6 @@ class SetupFile:
     """A fully interpreted setup: ready-made objects, not raw strings."""
 
     valuation: MonomialValuation
-    subring: str = "polynomial"
     lifting: str | None = None
     choices: dict[str, ChoiceFunction] = field(default_factory=dict)
     pairs: dict[str, SubgroupWithChoice] = field(default_factory=dict)
@@ -191,18 +196,32 @@ def _parse_int(section: str, key: str, value: str) -> int:
         raise SetupError(f"[{section}] {key} must be an integer, got {value!r}") from None
 
 
+def _parse_pairs(block: dict[str, str], dim: int, what: str) -> list:
+    """The block's ``"degree" = "element"`` pairs, parsed in file order."""
+    pairs = []
+    for k, v in block.items():
+        try:
+            pairs.append((GroupElement.parse(k, dim=dim), parse_rational_function(v)))
+        except ValueError as exc:
+            raise SetupError(f"{what} {k!r}: {exc}") from None
+    return pairs
+
+
 def _load_analyzer(section: Section) -> AnalyzerDirective:
-    raw = section.entries.get("primes", "")
+    raw = section.entry("primes") or ""
     primes = []
     for part in raw.split(","):
         part = part.strip()
         if part:
             primes.append(_parse_int("analyzer", "primes", part))
-    bound = _parse_int("analyzer", "degree_bound", section.entries.get("degree_bound", "8"))
+    bound = section.entry("degree_bound")
+    if bound is not None:
+        bound = _parse_int("analyzer", "degree_bound", bound)
+    block = section.block("candidates")
     candidates = None
-    if "candidates" in section.blocks:
+    if block is not None:
         candidates = {}
-        for k, v in section.blocks["candidates"].items():
+        for k, v in block.items():
             try:
                 degree = GroupElement.parse(k, dim=1)
             except ValueError as exc:
@@ -211,8 +230,8 @@ def _load_analyzer(section: Section) -> AnalyzerDirective:
     return AnalyzerDirective(tuple(primes), bound, candidates)
 
 
-def load_setup(source) -> SetupFile:
-    doc = source if isinstance(source, SetupDocument) else parse_document(source)
+def load_setup(text: str) -> SetupFile:
+    doc = parse_document(text)
 
     analyzer = None
     analyzer_section = doc.get("analyzer")
@@ -229,9 +248,9 @@ def load_setup(source) -> SetupFile:
     else:
         weights = {}
         dim = None
-        for var, text in val_section.entries.items():
+        for var in val_section.entries:
             try:
-                w = GroupElement.parse(text, dim=dim)
+                w = GroupElement.parse(val_section.entry(var), dim=dim)
             except ValueError as exc:
                 raise SetupError(f"[valuation] bad weight for {var}: {exc}") from None
             dim = w.dim
@@ -247,11 +266,7 @@ def load_setup(source) -> SetupFile:
 
     ring = doc.get("ring")
     if ring is not None:
-        subring = ring.entries.get("subring", "polynomial")
-        if subring not in ("polynomial", "field"):
-            raise SetupError(f"[ring] subring must be polynomial or field, got {subring!r}")
-        setup.subring = subring
-        lifting = ring.entries.get("lifting")
+        lifting = ring.entry("lifting")
         if lifting is not None and lifting != "constants":
             raise SetupError(f"[ring] unknown lifting oracle {lifting!r}")
         setup.lifting = lifting
@@ -260,8 +275,9 @@ def load_setup(source) -> SetupFile:
     if campaign is not None:
         cfg = CampaignConfig()
         for key in ("seed", "bound", "samples"):
-            if key in campaign.entries:
-                setattr(cfg, key, _parse_int("campaign", key, campaign.entries[key]))
+            value = campaign.entry(key)
+            if value is not None:
+                setattr(cfg, key, _parse_int("campaign", key, value))
         # a negative height or no samples would make every verdict vacuous
         if cfg.bound < 0:
             raise SetupError(f"[campaign] bound must be non-negative, got {cfg.bound}")
@@ -270,23 +286,15 @@ def load_setup(source) -> SetupFile:
         setup.campaign = cfg
 
     for section in doc.choice_sections():
-        name = section.name.split(None, 1)[1].strip()
-        if not name:
-            raise SetupError(f"[{section.name}] needs a name after 'choice'")
-        kinds = [k for k in ("table", "generators") if k in section.blocks]
+        # the parser strips the name, so "choice " is always followed by one
+        name = section.name.split(None, 1)[1]
+        kinds = [k for k in ("table", "generators") if section.block(k) is not None]
         if len(kinds) != 1:
             raise SetupError(
                 f"[{section.name}] needs exactly one 'table' or 'generators' block"
             )
         block = section.blocks[kinds[0]]
-        parsed = {}
-        for k, v in block.items():
-            try:
-                degree = GroupElement.parse(k, dim=valuation.dim)
-                value = parse_rational_function(v)
-            except ValueError as exc:
-                raise SetupError(f"[{section.name}] bad entry {k!r}: {exc}") from None
-            parsed[degree] = value
+        parsed = dict(_parse_pairs(block, valuation.dim, f"[{section.name}] bad entry"))
         try:
             if kinds[0] == "table":
                 setup.choices[name] = TableChoice(valuation, parsed)
@@ -299,32 +307,27 @@ def load_setup(source) -> SetupFile:
 
     build = doc.get("build")
     if build is not None:
-        mode = build.entries.get("mode")
+        mode = build.entry("mode")
         if mode not in ("free", "extend"):
             raise SetupError(f"[build] mode must be free or extend, got {mode!r}")
         directive = BuildDirective(mode=mode)
         if mode == "free":
-            directive.choice = build.entries.get("choice")
+            directive.choice = build.entry("choice")
             if directive.choice not in setup.pairs:
                 raise SetupError(
                     "[build] mode = free needs choice = NAME of a generators choice"
                 )
         else:
-            directive.base = build.entries.get("base")
+            directive.base = build.entry("base")
             if directive.base not in setup.pairs:
                 raise SetupError(
                     "[build] mode = extend needs base = NAME of a generators choice"
                 )
-            steps_block = build.blocks.get("steps")
+            steps_block = build.block("steps")
             if not steps_block:
                 raise SetupError("[build] mode = extend needs a non-empty steps block")
-            for k, v in steps_block.items():
-                try:
-                    degree = GroupElement.parse(k, dim=valuation.dim)
-                    witness = parse_rational_function(v)
-                except ValueError as exc:
-                    raise SetupError(f"[build] bad step {k!r}: {exc}") from None
-                directive.steps.append((degree, witness))
+            directive.steps = _parse_pairs(steps_block, valuation.dim, "[build] bad step")
         setup.build = directive
 
+    doc.reject_unread()
     return setup

@@ -49,8 +49,10 @@ def product_safe_support(eps: ChoiceFunction, candidates) -> list[GroupElement]:
     Campaign operands are built from these degrees, and products of up to
     three operands must remain where eps is defined.  Rule-based choices
     are defined on a whole group, so the list survives unchanged; finite
-    tables lose their upper reaches.  The largest offending degree is
-    dropped first, so the result is deterministic.
+    tables lose their upper reaches.  Each round drops the largest member
+    of the first sum a + b, or a + b + c, that leaves the domain, scanning
+    a, b, c in sorted order (each pair before its triples), so the result
+    is deterministic; that member need not be the largest offending degree.
     """
     safe = sorted(set(candidates))
     if isinstance(eps, GeneratorChoice) and all(eps.contains(g) for g in safe):

@@ -269,12 +269,6 @@ class TwistingTable:
             self._cache[key] = hit
         return hit
 
-    def items(self):
-        return sorted(self._cache.items())
-
-    def __len__(self):
-        return len(self._cache)
-
 
 class TwistedRingElement:
     """Finite formal sum Σ a_γ · t^γ with residue coefficients a_γ != 0."""

@@ -1,6 +1,7 @@
 """Command line driver: exit codes, report rendering, determinism."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,77 @@ class TestErrorPaths:
         finally:
             cli._arg_parser.cache_clear()
         assert built == [1]
+
+
+class TestOnlyWhatIsRead:
+    """Input a command would ignore is refused with exit 2."""
+
+    @pytest.mark.parametrize(
+        "setup,old,new,command,message",
+        [
+            ("free_lex.vt", "lifting =", "lifitng =", "iso-verify", "[ring] unknown or unused key 'lifitng'"),
+            ("twisted_2x.vt", "[campaign]", "[campain]", "ring-axioms", "unknown or repeated section [campain]"),
+            ("counterexample_conflict.vt", "candidates {", "candidate {", "counterexample",
+             "[analyzer] unknown or unused block 'candidate'"),
+        ],
+        ids=["misspelt-key", "misspelt-section", "misspelt-block"],
+    )
+    def test_unread_setup_input_exits_2(self, capsys, tmp_path, setup, old, new, command, message):
+        text = Path(setup_path(setup)).read_text(encoding="utf-8")
+        assert old in text
+        f = tmp_path / "typo.vt"
+        f.write_text(text.replace(old, new, 1))
+        assert run(capsys, command, "--setup", str(f)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command,setup,flags",
+        [
+            ("ring-axioms", "twisted_2x.vt", ("seed", "bound")),
+            ("iso-verify", "twisted_2x.vt", ("seed",)),
+            ("build", "free_lex.vt", ("bound",)),
+            ("counterexample", "counterexample_pool.vt", ()),
+        ],
+    )
+    def test_a_command_takes_only_the_flags_it_reads(self, capsys, command, setup, flags):
+        # an override the command would ignore, such as `iso-verify --bound 0`,
+        # must not parse, or it would look as if it changed the run
+        for flag in ("seed", "bound"):
+            argv = [command, "--setup", setup_path(setup), f"--{flag}", "0"]
+            if flag in flags:
+                assert cli._arg_parser().parse_args(argv).flags == list(flags)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: --{flag} 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,setup,key",
+        [("iso-verify", "twisted_2x.vt", "seed"), ("build", "free_lex.vt", "bound")],
+    )
+    def test_a_flag_sets_what_the_campaign_key_sets(self, capsys, tmp_path, command, setup, key):
+        text = Path(setup_path(setup)).read_text(encoding="utf-8")
+        f = tmp_path / "set.vt"
+        f.write_text(text.replace(f"{key} = ", f"{key} = 2 #", 1))
+        via_flag = run(capsys, command, "--setup", setup_path(setup), f"--{key}", "2")
+        assert via_flag == run(capsys, command, "--setup", str(f))
+        assert via_flag != run(capsys, command, "--setup", setup_path(setup))
+
+    def test_ring_axioms_reads_seed_and_bound(self, capsys, monkeypatch):
+        # its report does not show either value on a passing setup, so the
+        # suites it runs are asked what they were given
+        seen = []
+        ring, triviality = cli.ring_axiom_suite, cli.triviality_agreement_suite
+        monkeypatch.setattr(cli, "ring_axiom_suite",
+                            lambda cs, rng, trials: seen.append(rng.getstate()) or ring(cs, rng, trials=trials))
+        monkeypatch.setattr(cli, "triviality_agreement_suite",
+                            lambda cs, bound: seen.append(bound) or triviality(cs, bound=bound))
+        rc, _, _ = run(capsys, "ring-axioms", "--setup", setup_path("twisted_2x.vt"), "--seed", "9", "--bound", "2")
+        assert rc == 0
+        assert seen == [random.Random(9).getstate(), 2]
+        seen.clear()
+        run(capsys, "ring-axioms", "--setup", setup_path("twisted_2x.vt"))
+        assert seen == [random.Random(7).getstate(), 6]  # the file's seed and bound
 
 
 class TestDeterminism:

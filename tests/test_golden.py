@@ -8,15 +8,19 @@ the degree caveat, a vacuous prime set, a choice without lifting, a
 radical step whose class is a rational behind a common factor), from
 ``tests/golden/setups/``.
 
-To regenerate the files from the code on ``PYTHONPATH`` (only at a commit
-whose reports are trusted)::
+To write the file of each case that has none, and of each case named on
+the command line, from the code on ``PYTHONPATH``::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [chain_radical.build.machine ...]
+
+Every other golden file keeps its bytes, so a new case never rewrites the
+trusted ones; name an existing case only when its report change is decided.
 """
 
 import contextlib
 import io
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -82,16 +86,46 @@ def test_report_matches_golden(command, folder, setup, machine):
     assert out == expected
 
 
-def regenerate():
-    GOLDEN.mkdir(exist_ok=True)
-    codes = {}
+def regenerate(only=(), folder=GOLDEN):
+    """Write the report and exit code of each case named in ``only`` and of
+    each case with no report or no exit code in ``folder``; return the keys
+    written."""
+    unknown = set(only) - {case_key(*case) for case in CASES}
+    if unknown:
+        raise SystemExit(f"no golden case named {', '.join(sorted(unknown))}")
+    folder.mkdir(exist_ok=True)
+    codes_path = folder / "exit_codes.json"
+    codes = json.loads(codes_path.read_text(encoding="utf-8")) if codes_path.exists() else {}
+    written = []
     for case in CASES:
         key = case_key(*case)
-        out, codes[key] = replay(*case)
-        (GOLDEN / f"{key}.out").write_text(out, encoding="utf-8")
+        path = folder / f"{key}.out"
+        if key in only or not path.exists() or key not in codes:
+            out, codes[key] = replay(*case)
+            path.write_text(out, encoding="utf-8")
+            written.append(key)
     text = json.dumps(codes, indent=2, sort_keys=True) + "\n"
-    (GOLDEN / "exit_codes.json").write_text(text, encoding="utf-8")
+    codes_path.write_text(text, encoding="utf-8")
+    return written
+
+
+def test_regenerate_keeps_every_golden_it_was_not_asked_for(tmp_path):
+    folder = tmp_path / "golden"
+    shutil.copytree(GOLDEN, folder, ignore=shutil.ignore_patterns("setups"))
+    before = {p.name: p.read_bytes() for p in folder.iterdir()}
+    kept = folder / "analyzer_vacuous.counterexample.out"
+    kept.write_text("kept\n", encoding="utf-8")
+    (folder / "counterexample_conflict.counterexample.out").unlink()
+    (folder / "analyzer_roots.counterexample.out").write_text("stale\n", encoding="utf-8")
+
+    written = regenerate(only=["analyzer_roots.counterexample"], folder=folder)
+
+    assert written == ["counterexample_conflict.counterexample", "analyzer_roots.counterexample"]
+    after = {p.name: p.read_bytes() for p in folder.iterdir()}
+    assert after == dict(before, **{kept.name: b"kept\n"})
+    with pytest.raises(SystemExit, match="no golden case named nope"):
+        regenerate(only=["nope"], folder=folder)
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    print("\n".join(regenerate(only=sys.argv[1:])))

@@ -7,8 +7,25 @@ import pytest
 from valtwist.errors import SetupError
 from valtwist.mpoly import parse_rational_function
 from valtwist.ordgroup import GroupElement
-from valtwist.setupfile import load_setup, parse_document, render_document
+from valtwist.setupfile import load_setup, parse_document
 from valtwist.twist import GeneratorChoice, TableChoice
+
+
+def render_document(doc) -> str:
+    """Write a parsed document back as text, for the parser's round trip."""
+    lines = []
+    for section in doc.sections:
+        if lines:
+            lines.append("")
+        lines.append(f"[{section.name}]")
+        for k, v in section.entries.items():
+            lines.append(f"{k} = {v}")
+        for name, block in section.blocks.items():
+            lines.append(f"{name} {{")
+            for k, v in block.items():
+                lines.append(f'  "{k}" = "{v}"')
+            lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 GOOD = """\
@@ -18,7 +35,6 @@ x = (1, 0)
 y = (0, 1)
 
 [ring]
-subring = polynomial
 lifting = constants
 
 [campaign]
@@ -81,7 +97,7 @@ class TestLoadSetup:
     def test_full_file(self):
         setup = load_setup(GOOD)
         assert setup.valuation.variables() == ["x", "y"]
-        assert setup.subring == "polynomial" and setup.lifting == "constants"
+        assert setup.lifting == "constants"
         assert setup.campaign.seed == 42 and setup.campaign.samples == 200
         eps = setup.choices["free"]
         assert isinstance(eps, GeneratorChoice)
@@ -135,7 +151,7 @@ class TestLoadSetup:
             load_setup("[campaign]\nseed = 1\n")
 
     def test_bad_subring(self):
-        with pytest.raises(SetupError):
+        with pytest.raises(SetupError, match=r"^\[ring\] unknown or unused key 'subring'$"):
             load_setup("[valuation]\nx = 1\n\n[ring]\nsubring = weird\n")
 
     def test_bad_lifting(self):
@@ -190,3 +206,38 @@ class TestLoadSetup:
             6,
             200,
         )
+
+
+class TestOnlyWhatIsRead:
+    """Every section, key and block the loader does not read is an error."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # the key that named the subring was never read
+            ("[ring]\nsubring = polynomial\n", "[ring] unknown or unused key 'subring'"),
+            ("[ring]\nlifitng = constants\n", "[ring] unknown or unused key 'lifitng'"),
+            ("[campain]\nsamples = 3\n", "unknown or repeated section [campain]"),
+            ("[ring]\n\n[ring]\nlifting = constants\n", "unknown or repeated section [ring]"),
+            ("[choice]\ntable {\n\"1\" = \"x\"\n}\n", "unknown or repeated section [choice]"),
+            ("[campaign]\nsteps {\n\"1\" = \"2\"\n}\n", "[campaign] unknown or unused block 'steps'"),
+            ('[choice t]\nkind = table\ntable {\n"1" = "x"\n}\n', "[choice t] unknown or unused key 'kind'"),
+            ("[build]\nmode = free\nchoice = g\nbase = g\n", "[build] unknown or unused key 'base'"),
+            ("[build]\nmode = extend\nbase = g\nsteps = 1\nsteps {\n\"1\" = \"x\"\n}\n",
+             "[build] unknown or unused key 'steps'"),
+            ("[analyzer]\nprimes = 2\ncandidate {\n\"1\" = \"x2^2\"\n}\n",
+             "[analyzer] unknown or unused block 'candidate'"),
+            ("[ring]\nlifting {\n\"1\" = \"2\"\n}\n", "[ring] unknown or unused block 'lifting'"),
+        ],
+        ids=["subring", "misspelt-key", "misspelt-section", "repeated-section", "unnamed-choice",
+             "stray-block", "choice-entry", "other-mode-key", "entry-for-block", "misspelt-block",
+             "block-for-entry"],
+    )
+    def test_unread_input_is_named(self, text, message):
+        base = '[valuation]\nx = 1\n\n[choice g]\ngenerators {\n"1" = "x"\n}\n\n'
+        with pytest.raises(SetupError) as exc:
+            load_setup(base + text)
+        assert str(exc.value) == message
+
+    def test_absent_degree_bound_is_left_to_the_analyzer(self):
+        assert load_setup("[analyzer]\nprimes = 2\n").analyzer.degree_bound is None

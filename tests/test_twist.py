@@ -291,3 +291,14 @@ class TestProductSafeSupport:
         assert product_safe_support(doubled, [GroupElement(k) for k in (0, 1, 3, 6)]) == [
             GroupElement(k) for k in (0, 1)
         ]
+
+    def test_drops_the_largest_member_of_the_first_failing_sum(self):
+        # 1 + 1 + 1 = 3 fails first and drops 1, then 2 + 2 = 4 drops 2, and 10
+        # stays (20 and 30 are in the table); dropping the largest offending
+        # degree first would drop 10 for 1 + 2 + 10 = 13 and end with nothing
+        degrees = (1, 2, 10, 11, 12, 20, 21, 22, 30)
+        v = MonomialValuation({"x": 1})
+        table = TableChoice(v, {GroupElement(k): parse_rational_function(f"x^{k}") for k in degrees})
+        cands = [GroupElement(k) for k in (1, 2, 10)]
+        assert product_safe_support(table, cands) == [GroupElement(10)]
+        assert _reference_support(table, cands) == [GroupElement(10)]
