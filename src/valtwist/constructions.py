@@ -23,8 +23,8 @@ every listed prime.  Without candidates, each monomial eps(1) up to a
 degree bound is tried, and the identity forces every eps(1/p).  The pools
 of monomials of value 1/p and 1 solve one linear equation in the exponents:
 :func:`monomial_pool` walks every exponent but the last and solves for the
-last.  Each eps(1/p) is then looked up by exponent key (p times its
-exponents are those of eps(1)) and confirmed by one exact p-th power.  An
+last.  Each eps(1/p) is then read off eps(1)'s exponents, divided by p,
+and confirmed by one exact p-th power.  An
 enumeration whose walk exceeds :data:`WALK_LIMIT`, or whose pool of
 candidates for eps(1) exceeds :data:`UNIT_POOL_LIMIT`, is refused with a
 :class:`SetupError`, and so is a prime list with a number too large for the
@@ -48,7 +48,8 @@ from .mpoly import (
     rf_nth_root,
 )
 from .ordgroup import FgSubgroup, GroupElement
-from .twist import ChoiceFunction, ExtensionStep, GeneratorChoice, TableChoice, _check_witness
+from .twist import (ChoiceFunction, ExtensionStep, GeneratorChoice, TableChoice,
+                    _check_witness, is_trivial)
 from .valuation import MonomialValuation
 
 __all__ = [
@@ -101,7 +102,7 @@ def extend_choice(base: SubgroupWithChoice, gamma, x_gamma) -> SubgroupWithChoic
         step = ExtensionStep(gamma, x_gamma, None, None, None, None, x_gamma, None)
     else:
         x0 = chain(n0 * gamma)
-        cls = v.residue(x0 / x_gamma**n0)
+        cls = v.residue(x0, over=(x_gamma**n0,))
         a = cls.nth_root(n0)
         if a is None:
             raise RootNotFound(
@@ -301,28 +302,22 @@ def _degree_caveat(f: RationalFunction) -> bool:
 
 
 def _augmented_recheck(valuation, primes, unit_value, prime_values) -> bool:
-    """Re-evaluate the twisting on the pairs implicated by the forced identities.
+    """Whether the table {k/p: eps(1/p)^k} with eps(1) at degree 1 twists trivially.
 
-    The table {k/p: eps(1/p)^k} with eps(1) at degree 1 must twist to 1 on
-    every pair (1/p, k/p) when the forced identities hold.
+    The forced identities make it twist to 1 on every pair of its degrees
+    whose sum it holds, the pairs (1/p, k/p) among them.
     """
     table = {GroupElement(Fraction(1)): unit_value}
     for p, val in zip(primes, prime_values):
         for k in range(1, p):
             table[GroupElement(Fraction(k, p))] = val**k
-    eps = TableChoice(valuation, table)
-    one = valuation.residue_one()
-    for p in primes:
-        base = GroupElement(Fraction(1, p))
-        for k in range(1, p):
-            if eps.twisting(base, GroupElement(Fraction(k, p))) != one:
-                return False
-    return True
+    # a table's scan ignores the bound, which limits rule-based domains only
+    return is_trivial(TableChoice(valuation, table), 1)[0]
 
 
 def _conflict_residue(valuation, p: int, prime_value, unit_value) -> str:
     """The twisting value witnessing a failed forced identity at p."""
-    cls = valuation.residue(prime_value**p / unit_value)
+    cls = valuation.residue(prime_value**p, over=(unit_value,))
     return f"epsilon-bar(1/{p}, {p - 1}/{p}) = {cls} != 1"
 
 
@@ -453,23 +448,18 @@ def _analyze_enumeration(primes, valuation, lcm_p, degree_bound) -> AnalyzerRepo
             f" degree_bound {degree_bound} has {len(unit_pool)} candidates for"
             f" epsilon(1), more than the limit of {UNIT_POOL_LIMIT}"
         )
-    pools = {p: monomial_pool(primes, Fraction(1, p), degree_bound) for p in primes}
-    pool_sizes = [(f"1/{p}", len(pools[p])) for p in primes] + [("1", len(unit_pool))]
+    pool_sizes = [(f"1/{p}", len(monomial_pool(primes, Fraction(1, p), degree_bound)))
+                  for p in primes] + [("1", len(unit_pool))]
 
-    # eps(1/p) is the one pool member whose p-th power is eps(1): the one
-    # whose exponents, times p, are those of eps(1)
-    roots = {
-        p: {tuple(p * e for e in _exponents(primes, val)): val for val in pools[p]}
-        for p in primes
-    }
+    # eps(1/p) is forced to be the quotient whose exponents, times p, are those of eps(1)
     tables = []
     for unit_value in unit_pool:
-        key = _exponents(primes, unit_value)
+        exps = _exponents(primes, unit_value)
         chosen = []
         for p in primes:
-            root = roots[p].get(key)
-            if root is None:
+            if any(e % p for e in exps):
                 break
+            root = _quotient(primes, [e // p for e in exps])
             if root**p != unit_value:
                 raise RuntimeError(
                     f"epsilon(1/{p}) = {root} has the exponents of a {p}-th root of"

@@ -67,11 +67,7 @@ class HomogeneousElement:
             return False
         if not isinstance(other, HomogeneousElement):
             return NotImplemented
-        return (
-            self.valuation == other.valuation
-            and self.degree == other.degree
-            and self.rep.num * other.rep.den == other.rep.num * self.rep.den
-        )
+        return self.valuation == other.valuation and self.rep == other.rep
 
     def __str__(self):
         return f"deg={self.degree} rep={self.rep}"
@@ -245,7 +241,7 @@ def psi(eps: ChoiceFunction, x) -> TwistedRingElement:
 
 def constant_lift(coeff: ResidueElement) -> RationalFunction:
     """Lifting oracle for residue fields where every class is a constant."""
-    c = coeff.as_rational()
+    c = coeff.const
     if c is None:
         raise LiftingError(f"residue class {coeff} is not a rational constant")
     if c == 0:
@@ -253,7 +249,7 @@ def constant_lift(coeff: ResidueElement) -> RationalFunction:
     return RationalFunction(c)
 
 
-def psi_inverse_term(eps: ChoiceFunction, gamma: GroupElement, coeff: ResidueElement, lift=constant_lift):
+def psi_inverse_term(eps: ChoiceFunction, gamma: GroupElement, coeff: ResidueElement, lift):
     """Pull one term a·t^γ back to the homogeneous component in_v(ε(γ)·z').
 
     ``lift`` must produce a value-0 field element in the class of ``coeff``;
@@ -270,7 +266,7 @@ def psi_inverse_term(eps: ChoiceFunction, gamma: GroupElement, coeff: ResidueEle
     return in_v(v, eps(gamma) * lifted)
 
 
-def psi_inverse(eps: ChoiceFunction, x: TwistedRingElement, lift=constant_lift) -> GradedElement:
+def psi_inverse(eps: ChoiceFunction, x: TwistedRingElement, lift) -> GradedElement:
     """Inverse of ψ on a twisted ring element, term by term."""
     v = eps.valuation
     if x.valuation != v:

@@ -765,105 +765,73 @@ def rf_nth_root(f: RationalFunction, n: int) -> RationalFunction | None:
 
 # --- text format ------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a slash directly between two integers is a ratio; any other character that
+# is neither a token nor whitespace is stray
+_TOKEN_RE = re.compile(
+    r"(?P<ratio>\d+/\d+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*^/])|(?P<stray>\S)"
+)
 
 
 def _tokenize(text: str):
     """Tokens ``(kind, value)``: an ``"int"`` literal, a ``"ratio"`` literal
     ``p/q`` (value: its text), a ``"name"``, or one of ``+ - * ^ /``."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                tokens.append(("ratio", text[i:k]))
-                i = k
-            else:
-                tokens.append(("int", int(text[i:j])))
-                i = j
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(("name", m.group()))
-            i = m.end()
-            continue
-        if ch in "+-*^/":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise ValueError(f"unexpected character {ch!r} in {text!r}")
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "stray":
+            raise ValueError(f"unexpected character {value!r} in {text!r}")
+        if kind == "int":
+            value = int(value)
+        tokens.append((value, value) if kind == "op" else (kind, value))
     return tokens
 
 
 def _parse_poly_tokens(tokens, text: str) -> Polynomial:
-    pos = 0
-
-    def fail(msg):
-        raise ValueError(f"{msg} in {text!r}")
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_factor():
-        kind, value = take() if pos < len(tokens) else fail("unexpected end")
+    """A sum of signed terms, each a product of numbers and powers of names."""
+    if not tokens:
+        raise ValueError(f"empty polynomial in {text!r}")
+    total, term, sign, i, n = Polynomial.zero(), None, 1, 0, len(tokens)
+    if tokens[0][0] in ("+", "-"):
+        sign, i = (-1 if tokens[0][0] == "-" else 1), 1
+    while True:
+        kind, value = tokens[i] if i < n else (None, None)
+        i += 1
         if kind == "int":
-            return Polynomial.constant(value)
-        if kind == "ratio":
+            factor = Polynomial.constant(value)
+        elif kind == "ratio":
             p, q = map(int, value.split("/"))
             if q == 0:
-                fail("zero denominator")
-            return Polynomial.constant(_div(p, q))
-        if kind != "name":
-            fail(f"unexpected {value!r}")
-        exp = 1
-        if peek() == "^":
-            take()
-            if pos == len(tokens):
-                fail("exponents must be positive integers")
-            kind, e = take()
-            if kind != "int" or e <= 0:
-                fail(f"exponents must be positive integers, got {e}")
-            exp = e
-        return Polynomial.variable(value, exp)
-
-    def parse_term():
-        poly = parse_factor()
-        while peek() == "*":
-            take()
-            poly = poly * parse_factor()
-        return poly
-
-    if not tokens:
-        fail("empty polynomial")
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take()[0] == "-" else 1
-    total = parse_term().scale(sign)
-    while pos < len(tokens):
-        kind, value = take()
-        if kind == "+":
-            total = total + parse_term()
-        elif kind == "-":
-            total = total - parse_term()
+                raise ValueError(f"zero denominator in {text!r}")
+            factor = Polynomial.constant(_div(p, q))
+        elif kind == "name":
+            exp = 1
+            if i < n and tokens[i][0] == "^":
+                if i + 1 == n:
+                    raise ValueError(f"exponents must be positive integers in {text!r}")
+                kind, exp = tokens[i + 1]
+                i += 2
+                if kind != "int" or exp <= 0:
+                    raise ValueError(
+                        f"exponents must be positive integers, got {exp} in {text!r}"
+                    )
+            factor = Polynomial.variable(value, exp)
+        elif kind is None:
+            raise ValueError(f"unexpected end in {text!r}")
         else:
-            fail(f"unexpected {value!r}")
-    return total
+            raise ValueError(f"unexpected {value!r} in {text!r}")
+        term = factor if term is None else term * factor
+        if i < n and tokens[i][0] == "*":
+            i += 1
+            continue
+        total, term = total + term.scale(sign), None
+        if i == n:
+            return total
+        kind, value = tokens[i]
+        i += 1
+        if kind not in ("+", "-"):
+            raise ValueError(f"unexpected {value!r} in {text!r}")
+        sign = 1 if kind == "+" else -1
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -24,10 +24,13 @@ applied in file order), and ``[analyzer]`` (``primes``, optional
 :class:`SetupError` anything malformed — in particular a tabulated value
 whose valuation disagrees with its degree — and every section, key and
 block it did not read, so a misspelt name cannot change what is verified.
+Input given twice is refused with its line: a key or block name in a
+section, a choice name, or a block's degree, compared after parsing.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .constructions import SubgroupWithChoice, counterexample_valuation, free_pair
@@ -51,6 +54,9 @@ class Section:
     name: str
     entries: dict[str, str] = field(default_factory=dict)
     blocks: dict[str, dict[str, str]] = field(default_factory=dict)
+    # the section's line, and the line of each (block name, key) pair
+    line: int = field(default=0, compare=False, repr=False)
+    lines: dict[tuple[str, str], int] = field(default_factory=dict, compare=False, repr=False)
     # the keys and "NAME {" blocks load_setup read; None until it looks the section up
     read: set[str] | None = field(default=None, compare=False, repr=False)
 
@@ -91,16 +97,8 @@ class SetupDocument:
                 raise SetupError(f"[{s.name}] unknown or unused {unread[0]}")
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
+# a line up to its first '#' outside double quotes; an open quote runs to the end
+_UNCOMMENTED = re.compile(r'(?:[^"#]|"[^"]*(?:"|$))*')
 
 
 def _unquote(token: str, lineno: int) -> str:
@@ -117,7 +115,7 @@ def parse_document(text: str) -> SetupDocument:
     section: Section | None = None
     block: dict[str, str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _UNCOMMENTED.match(raw).group().strip()
         if not line:
             continue
         if block is not None:
@@ -127,10 +125,14 @@ def parse_document(text: str) -> SetupDocument:
             if "=" not in line:
                 raise SetupError(f"line {lineno}: expected '\"key\" = \"value\"' inside a block")
             k, _, v = line.partition("=")
-            block[_unquote(k, lineno)] = _unquote(v, lineno)
+            k = _unquote(k, lineno)
+            if k in block:
+                raise SetupError(f"line {lineno}: repeated key {k!r} in block {name!r}")
+            block[k] = _unquote(v, lineno)
+            section.lines[name, k] = lineno
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = Section(line[1:-1].strip())
+            section = Section(line[1:-1].strip(), line=lineno)
             if not section.name:
                 raise SetupError(f"line {lineno}: empty section name")
             doc.sections.append(section)
@@ -141,12 +143,15 @@ def parse_document(text: str) -> SetupDocument:
             name = line[:-1].strip()
             if not name:
                 raise SetupError(f"line {lineno}: block needs a name")
-            block = {}
-            section.blocks[name] = block
+            if name in section.blocks:
+                raise SetupError(f"line {lineno}: repeated block {name!r} in [{section.name}]")
+            block = section.blocks[name] = {}
             continue
         if "=" in line:
-            k, _, v = line.partition("=")
-            section.entries[k.strip()] = v.strip()
+            k, _, v = (part.strip() for part in line.partition("="))
+            if k in section.entries:
+                raise SetupError(f"line {lineno}: repeated key {k!r} in [{section.name}]")
+            section.entries[k] = v
             continue
         raise SetupError(f"line {lineno}: cannot parse {line!r}")
     if block is not None:
@@ -196,14 +201,20 @@ def _parse_int(section: str, key: str, value: str) -> int:
         raise SetupError(f"[{section}] {key} must be an integer, got {value!r}") from None
 
 
-def _parse_pairs(block: dict[str, str], dim: int, what: str) -> list:
-    """The block's ``"degree" = "element"`` pairs, parsed in file order."""
-    pairs = []
-    for k, v in block.items():
+def _parse_pairs(section: Section, name: str, dim: int, what: str, parse) -> list:
+    """The ``"degree" = "value"`` pairs of the section's block ``name``, each
+    value read by ``parse``, in file order; two keys that parse to one degree
+    are an error."""
+    pairs, first = [], {}
+    for k, v in section.block(name).items():
         try:
-            pairs.append((GroupElement.parse(k, dim=dim), parse_rational_function(v)))
+            degree = GroupElement.parse(k, dim=dim)
+            pairs.append((degree, parse(v)))
         except ValueError as exc:
             raise SetupError(f"{what} {k!r}: {exc}") from None
+        line = section.lines[name, k]
+        if first.setdefault(degree, line) != line:
+            raise SetupError(f"line {line}: degree {k!r} repeats line {first[degree]}")
     return pairs
 
 
@@ -217,16 +228,11 @@ def _load_analyzer(section: Section) -> AnalyzerDirective:
     bound = section.entry("degree_bound")
     if bound is not None:
         bound = _parse_int("analyzer", "degree_bound", bound)
-    block = section.block("candidates")
     candidates = None
-    if block is not None:
-        candidates = {}
-        for k, v in block.items():
-            try:
-                degree = GroupElement.parse(k, dim=1)
-            except ValueError as exc:
-                raise SetupError(f"[analyzer] bad candidate degree {k!r}: {exc}") from None
-            candidates[degree] = v
+    if section.block("candidates") is not None:
+        candidates = dict(
+            _parse_pairs(section, "candidates", 1, "[analyzer] bad candidate degree", str)
+        )
     return AnalyzerDirective(tuple(primes), bound, candidates)
 
 
@@ -288,13 +294,15 @@ def load_setup(text: str) -> SetupFile:
     for section in doc.choice_sections():
         # the parser strips the name, so "choice " is always followed by one
         name = section.name.split(None, 1)[1]
+        if name in setup.choices:
+            raise SetupError(f"line {section.line}: repeated choice name {name!r}")
         kinds = [k for k in ("table", "generators") if section.block(k) is not None]
         if len(kinds) != 1:
             raise SetupError(
                 f"[{section.name}] needs exactly one 'table' or 'generators' block"
             )
-        block = section.blocks[kinds[0]]
-        parsed = dict(_parse_pairs(block, valuation.dim, f"[{section.name}] bad entry"))
+        what = f"[{section.name}] bad entry"
+        parsed = dict(_parse_pairs(section, kinds[0], valuation.dim, what, parse_rational_function))
         try:
             if kinds[0] == "table":
                 setup.choices[name] = TableChoice(valuation, parsed)
@@ -323,10 +331,11 @@ def load_setup(text: str) -> SetupFile:
                 raise SetupError(
                     "[build] mode = extend needs base = NAME of a generators choice"
                 )
-            steps_block = build.block("steps")
-            if not steps_block:
+            if not build.block("steps"):
                 raise SetupError("[build] mode = extend needs a non-empty steps block")
-            directive.steps = _parse_pairs(steps_block, valuation.dim, "[build] bad step")
+            directive.steps = _parse_pairs(
+                build, "steps", valuation.dim, "[build] bad step", parse_rational_function
+            )
         setup.build = directive
 
     doc.reject_unread()

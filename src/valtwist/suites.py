@@ -42,6 +42,9 @@ __all__ = [
     "exact_multiplicativity_suite",
 ]
 
+# the height of the fixed, grid and random tables: the most generators a degree sums
+_HEIGHT = 6
+
 
 def product_safe_support(eps: ChoiceFunction, candidates) -> list[GroupElement]:
     """Shrink ``candidates`` until all two- and three-fold sums stay in the domain.
@@ -108,11 +111,11 @@ class ChoiceSetup:
     support: list[GroupElement] = field(default_factory=list)  # degrees safe for operands
 
 
-def fixed_nontrivial_setup(height: int = 6) -> ChoiceSetup:
+def fixed_nontrivial_setup() -> ChoiceSetup:
     """v(x) = 1 on Q(x) with the tabulated eps(1) = 2x: twisting 4 at (1, 1)."""
     v = MonomialValuation({"x": 1})
     table = {GroupElement(1): RationalFunction(Polynomial.variable("x").scale(2))}
-    for k in range(2, height + 1):
+    for k in range(2, _HEIGHT + 1):
         table[GroupElement(k)] = RationalFunction(Polynomial.variable("x", k))
     eps = TableChoice(v, table)
     support = [GroupElement(k) for k in range(0, 3)]
@@ -127,8 +130,8 @@ def free_lex_setup() -> ChoiceSetup:
     return ChoiceSetup("free-lex", v, eps, constant_lift, support)
 
 
-def grid_table_setup(height: int = 6) -> ChoiceSetup:
-    """A deliberately non-multiplicative table over the grid [0..height]^2.
+def grid_table_setup() -> ChoiceSetup:
+    """A deliberately non-multiplicative table over the grid [0..6]^2.
 
     Entries are c(a,b) * x^a * y^b with constants that break
     multiplicativity (e.g. the twist at ((1,0), (1,0)) is 4), while every
@@ -136,8 +139,8 @@ def grid_table_setup(height: int = 6) -> ChoiceSetup:
     """
     v = MonomialValuation({"x": (1, 0), "y": (0, 1)})
     table = {}
-    for a in range(height + 1):
-        for b in range(height + 1):
+    for a in range(_HEIGHT + 1):
+        for b in range(_HEIGHT + 1):
             if a == b == 0:
                 continue
             c = Fraction(2) ** max(0, 2 - a) if a else Fraction(1, b)
@@ -162,15 +165,15 @@ _WEIGHT_POOL = [
 _CONST_POOL = [1, -1, 2, 3, Fraction(1, 2), -2, Fraction(3, 4), 5]
 
 
-def _random_monomial(rng: random.Random, variables, max_exp: int = 2) -> Monomial:
+def _random_monomial(rng: random.Random, variables) -> Monomial:
     while True:
-        pairs = [(var, rng.randint(0, max_exp)) for var in variables]
+        pairs = [(var, rng.randint(0, 2)) for var in variables]
         m = Monomial(pairs)
         if not m.is_one():
             return m
 
 
-def random_setup(rng: random.Random, index: int, height: int = 6) -> ChoiceSetup:
+def random_setup(rng: random.Random, index: int) -> ChoiceSetup:
     """A reproducible random table setup.
 
     Dimension-1 weights are drawn from a small pool with repeats allowed,
@@ -208,10 +211,10 @@ def random_setup(rng: random.Random, index: int, height: int = 6) -> ChoiceSetup
             tail_mono = Monomial(((name, 1),))
             break
 
-    # enumerate sums of at most `height` generators, remembering one witness
+    # enumerate sums of at most _HEIGHT generators, remembering one witness
     decomp: dict[GroupElement, Monomial] = {v.group_zero: Monomial()}
     frontier = dict(decomp)
-    for _ in range(height):
+    for _ in range(_HEIGHT):
         nxt: dict[GroupElement, Monomial] = {}
         for degree, mono in frontier.items():
             for g, w in zip(gens, gen_wits):
@@ -267,7 +270,7 @@ def _random_twisted_element(rng: random.Random, setup: ChoiceSetup, max_terms: i
     return TwistedRingElement(v, coeffs)
 
 
-def ring_axiom_suite(setup: ChoiceSetup, rng: random.Random, trials: int = 12) -> SuiteResult:
+def ring_axiom_suite(setup: ChoiceSetup, rng: random.Random, trials: int) -> SuiteResult:
     """Commutativity, unit, associativity and distributivity on random elements."""
     result = SuiteResult(name=f"ring-axioms[{setup.name}]", cases=0)
     eps = setup.eps
@@ -299,7 +302,7 @@ def ring_axiom_suite(setup: ChoiceSetup, rng: random.Random, trials: int = 12) -
     return result
 
 
-def cocycle_suite(setup: ChoiceSetup, rng: random.Random, triples: int = 40) -> SuiteResult:
+def cocycle_suite(setup: ChoiceSetup, rng: random.Random, triples: int) -> SuiteResult:
     """The cocycle identity of the twisting on random degree triples."""
     result = SuiteResult(name=f"cocycle[{setup.name}]", cases=0)
     eps = setup.eps
@@ -328,7 +331,7 @@ def cocycle_suite(setup: ChoiceSetup, rng: random.Random, triples: int = 40) -> 
     return result
 
 
-def triviality_agreement_suite(setup: ChoiceSetup, bound: int = 6) -> SuiteResult:
+def triviality_agreement_suite(setup: ChoiceSetup, bound: int) -> SuiteResult:
     """is_trivial and the semigroup-hom check must agree on every setup."""
     result = SuiteResult(name=f"triviality[{setup.name}]", cases=1)
     trivial, pair = is_trivial(setup.eps, bound)
@@ -370,9 +373,7 @@ def _positive_tail(setup: ChoiceSetup, rng: random.Random, x: Polynomial):
     return None
 
 
-def psi_suites(
-    setup: ChoiceSetup, rng: random.Random, pairs: int = 60
-) -> list[SuiteResult]:
+def psi_suites(setup: ChoiceSetup, rng: random.Random, pairs: int) -> list[SuiteResult]:
     """The full isomorphism battery for one setup.
 
     Covers: well-definedness and injectivity (initial-form equality iff

@@ -101,13 +101,12 @@ class TableChoice(ChoiceFunction):
 
     Every entry is checked at construction: v(ε(γ)) must equal γ, and the
     implied entry ε(0) = 1 is added (a conflicting explicit 0 entry is
-    rejected).  Evaluation outside the table raises :class:`DomainError`.
+    rejected).  The checked entries are the evaluation memo itself, so a
+    miss is a degree outside the table and raises :class:`DomainError`.
     """
 
     def __init__(self, valuation: MonomialValuation, table: dict):
         super().__init__(valuation)
-        zero = valuation.group_zero
-        self.table: dict[GroupElement, RationalFunction] = {}
         for gamma, f in table.items():
             gamma = gamma if isinstance(gamma, GroupElement) else GroupElement(gamma)
             if gamma.dim != valuation.dim:
@@ -116,28 +115,22 @@ class TableChoice(ChoiceFunction):
                 )
             f = as_rational_function(f)
             _check_witness(valuation, f, gamma, "table entry")
-            self.table[gamma] = f
+            self._values[gamma] = f
         one = RationalFunction(1)
-        if zero in self.table:
-            if self.table[zero] != one:
-                raise ValueError("a choice function must map 0 to 1")
-        else:
-            self.table[zero] = one
+        if self._values.setdefault(valuation.group_zero, one) != one:
+            raise ValueError("a choice function must map 0 to 1")
 
     def _evaluate(self, gamma: GroupElement) -> RationalFunction:
-        f = self.table.get(gamma)
-        if f is None:
-            raise DomainError(f"degree {gamma} is outside the tabulated domain")
-        return f
+        raise DomainError(f"degree {gamma} is outside the tabulated domain")
 
     def contains(self, gamma: GroupElement) -> bool:
-        return gamma in self.table
+        return gamma in self._values
 
     def domain_elements(self, bound: int) -> list[GroupElement]:
-        return sorted(self.table)
+        return sorted(self._values)
 
     def items(self):
-        return sorted(self.table.items())
+        return sorted(self._values.items())
 
 
 def _subgroup_elements(generators, bound: int) -> list[GroupElement]:
@@ -373,7 +366,7 @@ def twisted_mul(
     return out
 
 
-def is_trivial(eps: ChoiceFunction, bound: int = 6):
+def is_trivial(eps: ChoiceFunction, bound: int):
     """Bounded triviality check of the twisting.
 
     Returns ``(True, None)`` when ε̄ == 1 on every domain pair up to the
@@ -389,7 +382,7 @@ def is_trivial(eps: ChoiceFunction, bound: int = 6):
     return True, None
 
 
-def semigroup_hom_check(eps: ChoiceFunction, bound: int = 6) -> bool:
+def semigroup_hom_check(eps: ChoiceFunction, bound: int) -> bool:
     """Whether ε(α)ε(β) and ε(α+β) agree in initial form on all bounded pairs.
 
     Must always agree with :func:`is_trivial`; the two sides are computed

@@ -88,9 +88,6 @@ class MonomialValuation:
     def group_zero(self) -> GroupElement:
         return self._zero
 
-    def variables(self):
-        return sorted(self.weights)
-
     def _lattice(self, mono) -> tuple:
         """v(mono) as integer numerators over ``_scale``, computed once per monomial."""
         vec = self._memo.get(mono)
@@ -429,10 +426,6 @@ class ResidueElement:
         if self.is_zero():
             return None
         return rf_nth_root(self.rep(), n)
-
-    def as_rational(self) -> int | Fraction | None:
-        """The class as a rational number, or None if it is not one."""
-        return self.const
 
     def __str__(self):
         return "0" if self.is_zero() else str(self.rep())

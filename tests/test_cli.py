@@ -262,6 +262,22 @@ class TestOnlyWhatIsRead:
         assert run(capsys, command, "--setup", str(f)) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("samples = 150", "samples = 5\nsamples = 300", "line 13: repeated key 'samples' in [campaign]"),
+            ('"2" = "x^2"', '"2/2" = "3*x"\n  "2" = "x^2"', "line 17: degree '2/2' repeats line 16"),
+        ],
+        ids=["repeated-key", "repeated-degree"],
+    )
+    def test_repeated_setup_input_exits_2(self, capsys, tmp_path, old, new, message):
+        # the later value used to win silently: 300 samples, or eps(1) = 3x
+        text = Path(setup_path("twisted_2x.vt")).read_text(encoding="utf-8")
+        assert old in text
+        f = tmp_path / "repeated.vt"
+        f.write_text(text.replace(old, new, 1))
+        assert run(capsys, "ring-axioms", "--setup", str(f)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "command,setup,flags",
         [
             ("ring-axioms", "twisted_2x.vt", ("seed", "bound")),

@@ -1,5 +1,6 @@
 """Multivariate polynomials, rational functions, exact roots, and the text grammar."""
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -584,3 +585,173 @@ def test_nth_root_matches_repowering_recursion(case):
     assert (got is None) == (want is None)
     if got is not None:
         assert _typed_terms(got) == _typed_terms(want)
+
+
+# --- the text scanner against the character-loop parser it replaced -------------
+#
+# frozen copies of the earlier tokenizer and recursive-descent parser; the
+# regex scanner and the flat term loop must give the same polynomial, or the
+# same ValueError text, on every string over the grammar's alphabet
+
+
+def _ref_tokenize(text):
+    name_re = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                tokens.append(("ratio", text[i:k]))
+                i = k
+            else:
+                tokens.append(("int", int(text[i:j])))
+                i = j
+            continue
+        m = name_re.match(text, i)
+        if m:
+            tokens.append(("name", m.group()))
+            i = m.end()
+            continue
+        if ch in "+-*^/":
+            tokens.append((ch, ch))
+            i += 1
+            continue
+        raise ValueError(f"unexpected character {ch!r} in {text!r}")
+    return tokens
+
+
+def _ref_parse_poly_tokens(tokens, text):
+    pos = 0
+
+    def fail(msg):
+        raise ValueError(f"{msg} in {text!r}")
+
+    def peek():
+        return tokens[pos][0] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_factor():
+        kind, value = take() if pos < len(tokens) else fail("unexpected end")
+        if kind == "int":
+            return Polynomial.constant(value)
+        if kind == "ratio":
+            p, q = map(int, value.split("/"))
+            if q == 0:
+                fail("zero denominator")
+            return Polynomial.constant(_div(p, q))
+        if kind != "name":
+            fail(f"unexpected {value!r}")
+        exp = 1
+        if peek() == "^":
+            take()
+            if pos == len(tokens):
+                fail("exponents must be positive integers")
+            kind, e = take()
+            if kind != "int" or e <= 0:
+                fail(f"exponents must be positive integers, got {e}")
+            exp = e
+        return Polynomial.variable(value, exp)
+
+    def parse_term():
+        poly = parse_factor()
+        while peek() == "*":
+            take()
+            poly = poly * parse_factor()
+        return poly
+
+    if not tokens:
+        fail("empty polynomial")
+    sign = 1
+    if peek() in ("+", "-"):
+        sign = -1 if take()[0] == "-" else 1
+    total = parse_term().scale(sign)
+    while pos < len(tokens):
+        kind, value = take()
+        if kind == "+":
+            total = total + parse_term()
+        elif kind == "-":
+            total = total - parse_term()
+        else:
+            fail(f"unexpected {value!r}")
+    return total
+
+
+def _ref_parse_polynomial(text):
+    tokens = _ref_tokenize(text)
+    if any(kind == "/" for kind, _ in tokens):
+        raise ValueError(f"unexpected '/' in polynomial {text!r}")
+    return _ref_parse_poly_tokens(tokens, text)
+
+
+def _ref_parse_rational_function(text):
+    tokens = _ref_tokenize(text)
+    slashes = [i for i, (kind, _) in enumerate(tokens) if kind == "/"]
+    if not slashes:
+        return RationalFunction(_ref_parse_poly_tokens(tokens, text))
+    if len(slashes) > 1:
+        raise ValueError(f"more than one fraction bar in {text!r}")
+    cut = slashes[0]
+    num = _ref_parse_poly_tokens(tokens[:cut], text)
+    den = _ref_parse_poly_tokens(tokens[cut + 1 :], text)
+    if den.is_zero():
+        raise ValueError(f"zero denominator in {text!r}")
+    return RationalFunction(num, den)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# the grammar's alphabet: digits, operators, names, spaces, and characters
+# that are no token (a comment mark, a quote and one stray character)
+_GRAMMAR_PIECES = [
+    "0", "1", "2", "3", "07", "12", "/", "^", "*", "+", "-",
+    "x", "y", "x2", "z_1", "_a", " ", "#", '"', "@",
+]
+_grammar_text = st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=14).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_grammar_text)
+def test_scanner_matches_the_character_loop_parser(text):
+    for parse, ref in (
+        (parse_polynomial, _ref_parse_polynomial),
+        (parse_rational_function, _ref_parse_rational_function),
+    ):
+        got, want = _outcome(parse, text), _outcome(ref, text)
+        assert got[0] == want[0] and got[1] == want[1], text
+        if got[0] == "ok":
+            assert str(got[1]) == str(want[1])
+
+
+def test_scanner_reports_each_parse_error_as_before():
+    # one string per message of the parser
+    for text in ["", "-", "x*", "x y", "x 007", "1/0", "x @", "2^3", "+-x", "x^", "x^00",
+                 "x^y", "x^2/3", "x / 0", "x / y / z", "/ x"]:
+        for parse, ref in (
+            (parse_polynomial, _ref_parse_polynomial),
+            (parse_rational_function, _ref_parse_rational_function),
+        ):
+            with pytest.raises(ValueError) as exc:
+                ref(text)
+            with pytest.raises(ValueError) as got:
+                parse(text)
+            assert str(got.value) == str(exc.value), text

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valtwist.errors import SetupError
 from valtwist.mpoly import parse_rational_function
 from valtwist.ordgroup import GroupElement
-from valtwist.setupfile import load_setup, parse_document
+from valtwist.setupfile import _UNCOMMENTED, load_setup, parse_document
 from valtwist.twist import GeneratorChoice, TableChoice
 
 
@@ -96,7 +97,7 @@ class TestDocumentGrammar:
 class TestLoadSetup:
     def test_full_file(self):
         setup = load_setup(GOOD)
-        assert setup.valuation.variables() == ["x", "y"]
+        assert sorted(setup.valuation.weights) == ["x", "y"]
         assert setup.lifting == "constants"
         assert setup.campaign.seed == 42 and setup.campaign.samples == 200
         eps = setup.choices["free"]
@@ -241,3 +242,55 @@ class TestOnlyWhatIsRead:
 
     def test_absent_degree_bound_is_left_to_the_analyzer(self):
         assert load_setup("[analyzer]\nprimes = 2\n").analyzer.degree_bound is None
+
+
+class TestRepeatedInput:
+    """Input given twice is an error naming the line, not a silent last-one-wins."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[valuation]\nx = 1\n\n[campaign]\nsamples = 5\nsamples = 300\n",
+             "line 6: repeated key 'samples' in [campaign]"),
+            ("[valuation]\nx = 1\nx = 2\n", "line 3: repeated key 'x' in [valuation]"),
+            ('[valuation]\nx = 1\n\n[choice t]\ntable {\n"1" = "x"\n}\ntable {\n"1" = "2*x"\n}\n',
+             "line 8: repeated block 'table' in [choice t]"),
+            ('[valuation]\nx = 1\n\n[choice t]\ntable {\n"1" = "2*x"\n"1" = "3*x"\n}\n',
+             "line 7: repeated key '1' in block 'table'"),
+            ('[valuation]\nx = 1\n\n[choice t]\ntable {\n"1" = "2*x"\n"2/2" = "3*x"\n}\n',
+             "line 7: degree '2/2' repeats line 6"),
+            ('[valuation]\nx = (1, 0)\ny = (0, 1)\n\n[choice g]\ngenerators {\n'
+             '"(1,0)" = "x"\n"(1, 0)" = "2*x"\n}\n',
+             "line 8: degree '(1, 0)' repeats line 7"),
+            ('[analyzer]\nprimes = 2\ncandidates {\n"1/2" = "x2"\n"2/4" = "x2"\n"1" = "x2^2"\n}\n',
+             "line 5: degree '2/4' repeats line 4"),
+            ('[valuation]\nx = 1\n\n[choice t]\ntable {\n"1" = "x"\n}\n\n'
+             '[choice  t]\ntable {\n"1" = "2*x"\n}\n',
+             "line 9: repeated choice name 't'"),
+        ],
+        ids=["section-key", "weight", "block", "block-key", "table-degree", "generator-degree",
+             "candidate-degree", "choice-name"],
+    )
+    def test_repeated_input_is_named(self, text, message):
+        with pytest.raises(SetupError) as exc:
+            load_setup(text)
+        assert str(exc.value) == message
+
+
+# the comment stripper the pattern replaced, kept as the reference
+def _ref_strip_comment(line):
+    out = []
+    quoted = False
+    for ch in line:
+        if ch == '"':
+            quoted = not quoted
+        if ch == "#" and not quoted:
+            break
+        out.append(ch)
+    return "".join(out)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet='"# x2=1/^*+-@{}', max_size=30))
+def test_comment_pattern_matches_the_character_loop(line):
+    assert _UNCOMMENTED.match(line).group() == _ref_strip_comment(line)

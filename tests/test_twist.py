@@ -142,7 +142,7 @@ class TestTwisting:
 
     def test_value_is_a_residue_of_value_zero(self, doubled):
         t = doubled.twisting(GroupElement(1), GroupElement(1))
-        assert t.as_rational() == 4
+        assert t.const == 4
 
 
 class TestTriviality:
