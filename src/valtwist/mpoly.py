@@ -9,10 +9,11 @@ Representation invariants
   polynomial is the empty map.  A coefficient is an ``int`` or a
   ``Fraction``, never anything else.  Every entry point (the constructor,
   ``constant``, ``term``, ``scale``, the parser) stores an integral value as
-  an ``int``, so the common integer case never touches ``Fraction``; ring
-  arithmetic keeps ``int * int`` an ``int`` and may leave an integral
-  ``Fraction`` behind, which is harmless because ``3 == Fraction(3)`` and
-  both hash alike, so term maps compare equal and print the same.
+  an ``int``, so the common integer case never touches ``Fraction``, and
+  so does a power of more than one term.  ``__mul__`` and ``__add__`` keep
+  ``int * int`` an ``int`` and may leave an integral ``Fraction`` behind,
+  which is harmless because ``3 == Fraction(3)`` and both hash alike, so
+  term maps compare equal and print the same.
 * Coefficients are divided only through one exact helper, so two ``int``
   operands give an ``int`` or a ``Fraction``, never a ``float``.  Any other
   coefficient type (a ``float`` included) raises ``TypeError``.
@@ -37,6 +38,16 @@ are ordered by the digit string, so ``x01 < x1``.  Monomials are compared
 lexicographically against that variable order (a higher power of an
 earlier variable wins), which is the order ``leading_term`` and the root
 recursion use.
+
+Vector form
+-----------
+Powers of more than one term and ``nth_root`` work on one other form of a
+polynomial: its variables in variable order, each monomial as its tuple of
+exponents over them, and each coefficient as an ``int`` numerator over one
+common denominator (``_vectors``, and ``_polynomial`` back).  Monomials
+multiply by adding tuples, lex order on the tuples is the monomial order,
+and all coefficient arithmetic is on integers.  A product of two
+polynomials stays on term maps: converting both costs more than it saves.
 
 Text format
 -----------
@@ -378,16 +389,18 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """``self**n`` for an integer ``n >= 0``, by squaring and multiplying.
+
+        A base of more than one term is powered in vector form (see the
+        module docstring), converted there and back once, so each integral
+        coefficient of the power is an ``int``.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if len(self.terms) < 2:
+            return _power(self, n, Polynomial.one(), Polynomial.__mul__)
+        names, terms, den = _vectors(self)
+        return _polynomial(names, _power(terms, n, {(0,) * len(names): 1}, _vector_mul), den**n)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -608,6 +621,53 @@ def as_rational_function(x) -> RationalFunction:
     return RationalFunction(_as_poly(x))
 
 
+# --- vector form --------------------------------------------------------------
+
+
+def _vectors(f: Polynomial):
+    """f in vector form: ``(names, terms, den)``, where ``terms`` maps exponent
+    tuples over ``names`` to ``int`` numerators over the least common ``den``."""
+    names = sorted({var for m in f.terms for var, _ in m.exps}, key=_var_key)
+    column = {name: k for k, name in enumerate(names)}
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    terms = {}
+    for m, c in f.terms.items():
+        e = [0] * len(names)
+        for var, x in m.exps:
+            e[column[var]] = x
+        terms[tuple(e)] = c.numerator * (den // c.denominator)
+    return names, terms, den
+
+
+def _polynomial(names, terms: dict, den: int) -> Polynomial:
+    """The polynomial of a vector form; an integral coefficient becomes an ``int``."""
+    return Polynomial({
+        Monomial._raw(tuple((var, e) for var, e in zip(names, v) if e)): _div(c, den)
+        for v, c in terms.items()
+    })
+
+
+def _vector_mul(a: dict, b: dict) -> dict:
+    """The product of two vector-form term maps over the same variables."""
+    acc = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+def _power(base, n: int, one, mul):
+    """``base**n`` by squaring and multiplying with ``mul``, from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
 def _int_nth_root(m: int, n: int) -> int | None:
     """Exact n-th root of m >= 0, or None."""
     if m < 0:
@@ -642,13 +702,13 @@ def nth_root(f: Polynomial, n: int) -> Polynomial | None:
     The leading-term recursion adds one root term per step.  The remainder
     ``f - g**n`` and the powers ``g**i`` (``i < n``) are kept exact as g
     grows by a term t, through ``(g + t)**i = sum C(i, j) g**(i-j) t**j``,
-    so no step re-powers g.  Here a monomial is its exponent vector over
-    the variables of f in variable order, so lex order on the vectors is
-    the monomial order, and each map holds integer numerators over one
-    common denominator: ``d**i`` for ``g**i``, where d is the least common
-    denominator of g's coefficients, and ``K * d**n`` for the remainder,
-    with K fixed by f.  Sound: g is returned only when that exact remainder is
-    zero, which is the reconstruction check.  The recursion gives up after
+    so no step re-powers g.  An f of more than one term is rooted in its
+    vector form (see the module docstring), where each map holds integer
+    numerators over one common denominator: ``d**i`` for ``g**i``, where d
+    is the least common denominator of g's coefficients, and ``K * d**n``
+    for the remainder, with K fixed by f.  Sound: g is returned only when
+    that exact remainder is zero, which is the reconstruction check.  A
+    one-term f is rooted on its term.  The recursion gives up after
     ``4*len(f) + 4*f.total_degree() + 16`` steps; None therefore means "no
     root found", not a disproof.
     """
@@ -656,38 +716,29 @@ def nth_root(f: Polynomial, n: int) -> Polynomial | None:
         raise ValueError("the root index must be an integer >= 2")
     if f.is_zero():
         return Polynomial.zero()
-    names = sorted({var for m in f.terms for var, _ in m.exps}, key=_var_key)
-    column = {name: k for k, name in enumerate(names)}
-
-    def vector(m):
-        e = [0] * len(names)
-        for var, x in m.exps:
-            e[column[var]] = x
-        return tuple(e)
-
-    def monomial(v):
-        return Monomial._raw(tuple((var, e) for var, e in zip(names, v) if e))
-
-    h = {vector(m): c for m, c in f.terms.items()}
+    if len(f.terms) == 1:
+        # one term stays on the term map, as in powers
+        (m, c), = f.terms.items()
+        root_c = _rational_nth_root(c, n)
+        if root_c is None or any(e % n for _, e in m.exps):
+            return None
+        return Polynomial({Monomial._raw(tuple((var, e // n) for var, e in m.exps)): root_c})
+    names, h, D = _vectors(f)
     lm, tm = max(h), min(h)
-    root_c = _rational_nth_root(h[lm], n)
+    root_c = _rational_nth_root(_div(h[lm], D), n)
     if root_c is None or any(e % n for e in lm):
         return None
-    if any(e % n for e in tm) or _rational_nth_root(h[tm], n) is None:
+    if any(e % n for e in tm) or _rational_nth_root(_div(h[tm], D), n) is None:
         return None
     degree = max(map(sum, h))
     if degree % n:
         return None
     last = tuple(e // n for e in lm)
-    root_terms = {monomial(last): _coeff(root_c)}
+    d = root_c.denominator
     # g is the leading root term, so f - g**n is f without its leading term
     del h[lm]
-    if not h:
-        return Polynomial(root_terms)
-    d = root_c.denominator
-    H = lcm(d**n, *(c.denominator for c in h.values()))
-    K = H // d**n
-    h = {m: c.numerator * (H // c.denominator) for m, c in h.items()}
+    # the leading coefficient root_c**n has denominator d**n, which D holds
+    K = D // d**n
     denom_c = n * root_c ** (n - 1)
     denom_m = tuple(e * (n - 1) for e in last)
     cap = 4 * len(f) + 4 * degree + 16
@@ -703,7 +754,6 @@ def nth_root(f: Polynomial, n: int) -> Polynomial | None:
         if min(um) < 0 or not um < last:
             return None
         uc = _div(Fraction(h[hm], K * d**n), denom_c)
-        root_terms[monomial(um)] = uc
         last = um
         if d % uc.denominator:
             # d grows by r: numerators over d**i scale by r**i, the
@@ -720,7 +770,9 @@ def nth_root(f: Polynomial, n: int) -> Polynomial | None:
         t_powers = [(tuple(e * j for e in um), tn**j) for j in range(n + 1)]
         _add_binomial_terms(h, powers, n, t_powers, -K)
         if not h:
-            return Polynomial(root_terms)
+            # powers[1] is the old g over d
+            powers[1][um] = tn
+            return _polynomial(names, powers[1], d)
         # descending, so powers[i - j] is still the old power for j >= 1
         for i in range(n - 1, 0, -1):
             _add_binomial_terms(powers[i], powers, i, t_powers, 1)

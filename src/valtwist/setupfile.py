@@ -17,8 +17,8 @@ Sections: ``[valuation]`` (variable weights), ``[ring]`` (optional
 ``samples >= 1``), any number of ``[choice NAME]`` with a ``table { }`` or
 ``generators { }`` block, ``[build]`` (``mode = free`` with ``choice =
 NAME``, or ``mode = extend`` with ``base = NAME`` and a ``steps { }`` block
-applied in file order), and ``[analyzer]`` (``primes``, optional
-``degree_bound``, optional ``candidates { }`` block).
+applied in file order), and ``[analyzer]`` (``primes``, then an optional
+``degree_bound`` or a ``candidates { }`` block, not both).
 
 ``load_setup`` interprets a setup text and rejects with
 :class:`SetupError` anything malformed — in particular a tabulated value
@@ -230,6 +230,8 @@ def _load_analyzer(section: Section) -> AnalyzerDirective:
         bound = _parse_int("analyzer", "degree_bound", bound)
     candidates = None
     if section.block("candidates") is not None:
+        if bound is not None:
+            raise SetupError("[analyzer] degree_bound is unused with a candidates table")
         candidates = dict(
             _parse_pairs(section, "candidates", 1, "[analyzer] bad candidate degree", str)
         )

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, SetupError
 from .mpoly import RationalFunction, as_rational_function
 from .ordgroup import FgSubgroup, GroupElement
 from .valuation import MonomialValuation, ResidueElement
@@ -47,14 +48,19 @@ def _check_witness(valuation: MonomialValuation, f: RationalFunction, gamma, wha
         raise ValueError(f"{what} for {gamma} has value {shown}, expected {gamma}")
 
 
+# the most degree pairs one triviality scan may walk
+PAIR_LIMIT = 10**6
+
+
 class ChoiceFunction:
     """Base for the concrete choice-function kinds.
 
     Subclasses provide ``_evaluate`` (raising :class:`DomainError` outside
-    the domain), ``contains`` and ``domain_elements``.  Evaluations are
-    memoized here; the value invariant v(ε(γ)) = γ is the subclasses'
-    responsibility (tables check every entry at load, rule-based kinds
-    validate their witnesses once and are exact by construction).
+    the domain), ``contains``, ``domain_elements`` and ``domain_size``.
+    Evaluations are memoized here; the value invariant v(ε(γ)) = γ is the
+    subclasses' responsibility (tables check every entry at load,
+    rule-based kinds validate their witnesses once and are exact by
+    construction).
     """
 
     def __init__(self, valuation: MonomialValuation):
@@ -78,14 +84,27 @@ class ChoiceFunction:
     def domain_elements(self, bound: int) -> list[GroupElement]:
         raise NotImplementedError
 
+    def domain_size(self, bound: int) -> int:
+        """An upper bound on ``len(self.domain_elements(bound))``, found without them."""
+        raise NotImplementedError
+
     def iter_domain_pairs(self, bound: int):
         """Yield, in sorted order, the (γ, γ') with γ, γ' and γ+γ' all in the domain.
 
         Rule-based domains are enumerated to half the bound per operand, so
         the combined height of a pair never exceeds the bound.  A pair's
-        sum is formed only when the walk reaches it.
+        sum is formed only when the walk reaches it.  A walk over more than
+        :data:`PAIR_LIMIT` pairs is refused with :class:`SetupError` before
+        anything is enumerated.
         """
-        elements = self.domain_elements((bound + 1) // 2)
+        half = (bound + 1) // 2
+        pairs = self.domain_size(half) ** 2
+        if pairs > PAIR_LIMIT:
+            raise SetupError(
+                f"bound {bound} walks up to {pairs} degree pairs,"
+                f" more than the limit of {PAIR_LIMIT}"
+            )
+        elements = self.domain_elements(half)
         contains = self.contains
         for a in elements:
             for b in elements:
@@ -128,6 +147,9 @@ class TableChoice(ChoiceFunction):
 
     def domain_elements(self, bound: int) -> list[GroupElement]:
         return sorted(self._values)
+
+    def domain_size(self, bound: int) -> int:
+        return len(self._values)
 
     def items(self):
         return sorted(self._values.items())
@@ -235,6 +257,11 @@ class GeneratorChoice(ChoiceFunction):
 
     def domain_elements(self, bound: int) -> list[GroupElement]:
         return _subgroup_elements(self.subgroup.generators, bound)
+
+    def domain_size(self, bound: int) -> int:
+        # the points of Z^k with |n|_1 <= bound: exact for independent generators
+        k = len(self.subgroup.generators)
+        return sum(2**i * comb(k, i) * comb(bound, i) for i in range(k + 1))
 
 
 class TwistingTable:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from valtwist import cli
+from valtwist import cli, twist
 from valtwist.cli import main
 
 SETUPS = Path(__file__).resolve().parents[1] / "setups"
@@ -277,6 +277,14 @@ class TestOnlyWhatIsRead:
         f.write_text(text.replace(old, new, 1))
         assert run(capsys, "ring-axioms", "--setup", str(f)) == (2, "", f"error: {message}\n")
 
+    def test_a_degree_bound_beside_candidates_exits_2(self, capsys, tmp_path):
+        # the table mode ignored it: the report was the one without it, exit 1
+        text = Path(setup_path("counterexample_conflict.vt")).read_text(encoding="utf-8")
+        f = tmp_path / "both.vt"
+        f.write_text(text.replace("primes = 2, 3\n", "primes = 2, 3\ndegree_bound = 4\n", 1))
+        message = "error: [analyzer] degree_bound is unused with a candidates table\n"
+        assert run(capsys, "counterexample", "--setup", str(f)) == (2, "", message)
+
     @pytest.mark.parametrize(
         "command,setup,flags",
         [
@@ -343,6 +351,32 @@ class TestDeterminism:
                            setup_path("twisted_2x.vt"), "--seed", "2")
         assert rc1 == rc2 == 0
         assert "FAIL" not in out1 and "FAIL" not in out2
+
+
+class TestPairScanGuard:
+    """A triviality scan over more than twist.PAIR_LIMIT degree pairs exits 2 before it starts."""
+
+    @pytest.mark.parametrize("command", ["build", "ring-axioms"])
+    def test_a_huge_bound_exits_2_at_once(self, capsys, command):
+        # read first: where the guard is missing, the walk below never ends
+        limit = twist.PAIR_LIMIT
+        # rank 2 to half the bound, 500 000: 2*h*(h + 1) + 1 degrees
+        pairs = (2 * 500_000 * 500_001 + 1) ** 2
+        message = f"error: bound 1000000 walks up to {pairs} degree pairs, more than the limit of {limit}\n"
+        argv = [command, "--setup", setup_path("free_lex.vt"), "--bound", "1000000"]
+        assert run(capsys, *argv) == (2, "", message)
+
+    @pytest.mark.parametrize("command", ["build", "ring-axioms"])
+    def test_the_campaign_bound_is_guarded_alike(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(twist, "PAIR_LIMIT", 1000)
+        text = Path(setup_path("free_lex.vt")).read_text(encoding="utf-8")
+        f = tmp_path / "bound.vt"
+        f.write_text(text.replace("bound = 6", "bound = 8", 1))
+        # half of 8 is 4: 41 degrees, 1681 pairs; half of 6 is 3: 625 pairs
+        message = "error: bound 8 walks up to 1681 degree pairs, more than the limit of 1000\n"
+        assert run(capsys, command, "--setup", str(f)) == (2, "", message)
+        assert run(capsys, command, "--setup", setup_path("free_lex.vt"), "--bound", "8") == (2, "", message)
+        assert run(capsys, command, "--setup", setup_path("free_lex.vt"))[0] == 0
 
 
 def test_module_entry_point():

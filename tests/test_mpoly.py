@@ -523,11 +523,66 @@ def test_names_equal_up_to_leading_zeros_are_ordered():
     assert nth_root(parse_polynomial("x01^2 + 2*x01*x1 + x1^2"), 2) == parse_polynomial("x01 + x1")
 
 
+# --- powers against the square-and-multiply loop -----------------------------
+#
+# A frozen copy of the loop that powered every base through
+# Polynomial.__mul__; a base of more than one term is now powered in vector
+# form, and both must give the same term map, with every integral
+# coefficient of the power stored as an int.
+
+def _pow_loop(p, n):
+    result = Polynomial.one()
+    base = p
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+_pow_names = st.sampled_from(["x01", "x1", "y"])
+_pow_monos = st.dictionaries(_pow_names, st.integers(1, 3), max_size=3).map(
+    lambda d: Monomial(tuple(d.items()))
+)
+_fraction_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(
+    lambda c: c.denominator > 1
+)
+
+
+@st.composite
+def _pow_bases(draw):
+    """A one-term, multi-term, Fraction-heavy, negated or cancelling base."""
+    kind = draw(st.sampled_from(["one-term", "multi-term", "fractions", "negated", "cancelling"]))
+    if kind == "one-term":
+        # coerced, so an integral coefficient is an int here too
+        return Polynomial([(draw(_pow_monos), draw(_mixed_coeffs))])
+    if kind == "cancelling":
+        # a*m + b*m*u + c*m*u^2 with 2ac + b^2 = 0: the square has no m^2*u^2 term
+        m, u = draw(_pow_monos), draw(_pow_monos.filter(lambda u: not u.is_one()))
+        a, b = draw(_mixed_coeffs), draw(_mixed_coeffs)
+        mu = m.mul(u)
+        return Polynomial([(m, a), (mu, b), (mu.mul(u), _div(-b * b, 2 * a))])
+    coeffs = _fraction_coeffs if kind == "fractions" else _any_coeffs
+    p = Polynomial(draw(st.dictionaries(_pow_monos, coeffs, min_size=2, max_size=6)))
+    return -p if kind == "negated" else p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pow_bases(), st.integers(0, 7))
+def test_power_matches_the_square_and_multiply_loop(p, n):
+    got = p**n
+    assert got.terms == _pow_loop(p, n).terms
+    for c in got.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), f"{c!r} in {p}**{n}"
+
+
 # --- nth_root against the re-powering recursion ------------------------------
 #
 # nth_root keeps f - g**n exact as g grows; the reference recomputes it from
-# scratch after every root term.  Both must return the same root, with the
-# same terms and coefficient types, or both None.
+# scratch after every root term, through the frozen power loop above.  Both
+# must return the same root, with the same terms and coefficient types, or
+# both None.
 
 def _nth_root_repowering(f, n):
     if f.is_zero():
@@ -547,7 +602,7 @@ def _nth_root_repowering(f, n):
     denom_m = _monomial_pow(root_m, n - 1)
     cap = 4 * len(f) + 4 * f.total_degree() + 16
     last = root_m
-    h = f - g**n
+    h = f - _pow_loop(g, n)
     steps = 0
     while not h.is_zero():
         steps += 1
@@ -559,7 +614,7 @@ def _nth_root_repowering(f, n):
             return None
         g = g + Polynomial.term(um, _div(hc, denom_c))
         last = um
-        h = f - g**n
+        h = f - _pow_loop(g, n)
     return g
 
 
@@ -568,7 +623,7 @@ def _root_cases(draw):
     """A perfect power, a near power (one term nudged in) or a negated power."""
     g = draw(st.dictionaries(_monos, _mixed_coeffs, min_size=1, max_size=7))
     n = draw(st.sampled_from([2, 3, 4, 5, 7]))
-    f = Polynomial(list(g.items())) ** n
+    f = _pow_loop(Polynomial(list(g.items())), n)
     kind = draw(st.sampled_from(["perfect", "near", "negated"]))
     if kind == "near":
         f = f + Polynomial.term(draw(_monos), draw(_mixed_coeffs))

@@ -147,6 +147,14 @@ class TestLoadSetup:
             GroupElement(1): "x2^2",
         }
 
+    def test_analyzer_refuses_a_degree_bound_beside_candidates(self):
+        # a candidates table is checked as given, with no enumeration to bound
+        text = '[analyzer]\nprimes = 2\ndegree_bound = 4\ncandidates {\n"1/2" = "x2"\n"1" = "x2^2"\n}\n'
+        with pytest.raises(SetupError) as exc:
+            load_setup(text)
+        assert str(exc.value) == "[analyzer] degree_bound is unused with a candidates table"
+        assert load_setup(text.replace("degree_bound = 4\n", "")).analyzer.degree_bound is None
+
     def test_missing_valuation_rejected_without_analyzer(self):
         with pytest.raises(SetupError, match="valuation"):
             load_setup("[campaign]\nseed = 1\n")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valtwist.constructions import extend_choice, free_pair
-from valtwist.errors import DomainError
+from valtwist import twist
+from valtwist.errors import DomainError, SetupError
 from valtwist.mpoly import Polynomial, RationalFunction, parse_rational_function
 from valtwist.ordgroup import GroupElement
 from valtwist.suites import product_safe_support
@@ -177,6 +178,29 @@ class TestTriviality:
         calls.clear()
         assert semigroup_hom_check(eps, 6) is False
         assert len(calls) <= 2 * n
+
+    def test_domain_size_counts_without_enumerating(self, doubled, free):
+        # a table is its own domain; independent generators reach the
+        # points of Z^k with |n|_1 <= bound, and dependent ones fewer
+        assert doubled.domain_size(6) == len(doubled.domain_elements(6)) == 7
+        base = free_pair(MonomialValuation({"z": Fraction(1, 6)}), [1], ["64*z^6"])
+        chain = extend_choice(base, "1/2", "z^3").choice
+        for bound in range(5):
+            size = 2 * bound * (bound + 1) + 1
+            assert free.domain_size(bound) == len(free.domain_elements(bound)) == size
+            assert chain.domain_size(bound) >= len(chain.domain_elements(bound))
+
+    def test_a_walk_over_the_pair_limit_is_refused_before_it_starts(self, free, monkeypatch):
+        monkeypatch.setattr(twist, "PAIR_LIMIT", 1000)
+        # half of 8 is 4: 41 degrees, 1681 pairs; half of 6 is 3: 25 degrees, 625 pairs
+        monkeypatch.setattr(free, "domain_elements", lambda bound: pytest.fail("enumerated"))
+        for scan in (is_trivial, semigroup_hom_check):
+            with pytest.raises(SetupError) as exc:
+                scan(free, 8)
+            assert str(exc.value) == "bound 8 walks up to 1681 degree pairs, more than the limit of 1000"
+        monkeypatch.undo()
+        monkeypatch.setattr(twist, "PAIR_LIMIT", 625)
+        assert is_trivial(free, 6) == (True, None) and semigroup_hom_check(free, 6)
 
 
 class TestTwistedRing:
