@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import os
 import random
 import sys
@@ -331,7 +330,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (command, desc) in _COMMANDS.items():
         # the campaign values a command reads are its parameters after the setup
-        flags = list(inspect.signature(command).parameters)[1:]
+        code = command.__code__
+        flags = list(code.co_varnames[1:code.co_argcount])
         sp = sub.add_parser(name, help=desc)
         sp.add_argument("--setup", required=True, metavar="FILE", help="setup file")
         for flag in flags:

@@ -34,7 +34,6 @@ primes at once is reported as narrative, not machine-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -67,13 +66,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SubgroupWithChoice:
     """A value subgroup together with a choice function defined on it."""
 
-    subgroup: FgSubgroup
-    choice: ChoiceFunction
-    certified_trivial: bool
+    __slots__ = ("subgroup", "choice", "certified_trivial")
+
+    def __init__(self, subgroup: FgSubgroup, choice: ChoiceFunction, certified_trivial: bool):
+        self.subgroup = subgroup
+        self.choice = choice
+        self.certified_trivial = certified_trivial
 
 
 def free_pair(valuation: MonomialValuation, generators, witnesses) -> SubgroupWithChoice:
@@ -123,15 +124,18 @@ def make_initial(eps: TableChoice) -> TableChoice:
     return TableChoice(v, {g: v.initial_rf(f) for g, f in eps.items()})
 
 
-@dataclass(frozen=True)
 class PowerCheck:
     """Outcome of one forced power identity eps(alpha)^n vs eps(n*alpha)."""
 
-    alpha: GroupElement
-    n: int
-    lhs: Polynomial
-    rhs: Polynomial
-    consistent: bool
+    __slots__ = ("alpha", "n", "lhs", "rhs", "consistent")
+
+    def __init__(self, alpha: GroupElement, n: int, lhs: Polynomial, rhs: Polynomial,
+                 consistent: bool):
+        self.alpha = alpha
+        self.n = n
+        self.lhs = lhs
+        self.rhs = rhs
+        self.consistent = consistent
 
     def identity(self) -> str:
         op = "==" if self.consistent else "!="
@@ -244,22 +248,32 @@ def _exponents(primes, f: RationalFunction) -> tuple[int, ...]:
     return tuple(num.exponent(f"x{p}") - den.exponent(f"x{p}") for p in primes)
 
 
-@dataclass(frozen=True)
 class RootRecord:
-    p: int
-    root: str | None
-    divides: bool
+    __slots__ = ("p", "root", "divides")
+
+    def __init__(self, p: int, root: str | None, divides: bool):
+        self.p = p
+        self.root = root
+        self.divides = divides
 
 
-@dataclass(frozen=True)
 class ConsistentTable:
-    assignments: tuple[tuple[str, str], ...]
-    unit_degree: int
-    divisible: bool
-    recheck_ok: bool
+    __slots__ = ("assignments", "unit_degree", "divisible", "recheck_ok")
+
+    def __init__(self, assignments: tuple[tuple[str, str], ...], unit_degree: int,
+                 divisible: bool, recheck_ok: bool):
+        self.assignments = assignments
+        self.unit_degree = unit_degree
+        self.divisible = divisible
+        self.recheck_ok = recheck_ok
+
+    def __eq__(self, other):
+        if type(other) is not ConsistentTable:
+            return NotImplemented
+        return (self.assignments, self.unit_degree, self.divisible, self.recheck_ok) == (
+            other.assignments, other.unit_degree, other.divisible, other.recheck_ok)
 
 
-@dataclass(frozen=True)
 class AnalyzerReport:
     """Everything the analyzer established about one finite prime set.
 
@@ -267,22 +281,46 @@ class AnalyzerReport:
     empty defaults.
     """
 
-    primes: tuple[int, ...]
-    mode: str  # "vacuous" | "table" | "enumerate"
-    verdict: str  # "VACUOUS" | "CONFLICT" | "DIVISIBILITY"
-    narrative: tuple[str, ...]
-    degree_bound: int | None = None
-    candidates: tuple[tuple[str, str], ...] | None = None
-    initial_table: tuple[tuple[str, str], ...] | None = None
-    forced: tuple[PowerCheck, ...] = ()
-    roots: tuple[RootRecord, ...] = ()
-    unit_degree: int | None = None
-    degree_caveat: bool = False
-    lcm_primes: int | None = None
-    divisible: bool | None = None
-    conflict_detail: str | None = None
-    pool_sizes: tuple[tuple[str, int], ...] | None = None
-    consistent_tables: tuple[ConsistentTable, ...] | None = None
+    __slots__ = ("primes", "mode", "verdict", "narrative", "degree_bound", "candidates",
+                 "initial_table", "forced", "roots", "unit_degree", "degree_caveat",
+                 "lcm_primes", "divisible", "conflict_detail", "pool_sizes",
+                 "consistent_tables")
+
+    def __init__(
+        self,
+        primes: tuple[int, ...],
+        mode: str,  # "vacuous" | "table" | "enumerate"
+        verdict: str,  # "VACUOUS" | "CONFLICT" | "DIVISIBILITY"
+        narrative: tuple[str, ...],
+        degree_bound: int | None = None,
+        candidates: tuple[tuple[str, str], ...] | None = None,
+        initial_table: tuple[tuple[str, str], ...] | None = None,
+        forced: tuple[PowerCheck, ...] = (),
+        roots: tuple[RootRecord, ...] = (),
+        unit_degree: int | None = None,
+        degree_caveat: bool = False,
+        lcm_primes: int | None = None,
+        divisible: bool | None = None,
+        conflict_detail: str | None = None,
+        pool_sizes: tuple[tuple[str, int], ...] | None = None,
+        consistent_tables: tuple[ConsistentTable, ...] | None = None,
+    ):
+        self.primes = primes
+        self.mode = mode
+        self.verdict = verdict
+        self.narrative = narrative
+        self.degree_bound = degree_bound
+        self.candidates = candidates
+        self.initial_table = initial_table
+        self.forced = forced
+        self.roots = roots
+        self.unit_degree = unit_degree
+        self.degree_caveat = degree_caveat
+        self.lcm_primes = lcm_primes
+        self.divisible = divisible
+        self.conflict_detail = conflict_detail
+        self.pool_sizes = pool_sizes
+        self.consistent_tables = consistent_tables
 
     @property
     def exit_code(self) -> int:

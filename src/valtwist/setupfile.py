@@ -31,7 +31,6 @@ section, a choice name, or a block's degree, compared after parsing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .constructions import SubgroupWithChoice, counterexample_valuation, free_pair
 from .errors import SetupError
@@ -49,16 +48,26 @@ __all__ = [
 ]
 
 
-@dataclass
 class Section:
-    name: str
-    entries: dict[str, str] = field(default_factory=dict)
-    blocks: dict[str, dict[str, str]] = field(default_factory=dict)
-    # the section's line, and the line of each (block name, key) pair
-    line: int = field(default=0, compare=False, repr=False)
-    lines: dict[tuple[str, str], int] = field(default_factory=dict, compare=False, repr=False)
-    # the keys and "NAME {" blocks load_setup read; None until it looks the section up
-    read: set[str] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "entries", "blocks", "line", "lines", "read")
+
+    def __init__(self, name: str, entries: dict[str, str] | None = None,
+                 blocks: dict[str, dict[str, str]] | None = None, line: int = 0,
+                 lines: dict[tuple[str, str], int] | None = None, read: set[str] | None = None):
+        self.name = name
+        self.entries = {} if entries is None else entries
+        self.blocks = {} if blocks is None else blocks
+        # the section's line, and the line of each (block name, key) pair
+        self.line = line
+        self.lines = {} if lines is None else lines
+        # the keys and "NAME {" blocks load_setup read; None until it looks the section up
+        self.read = read
+
+    def __eq__(self, other):
+        # equal content; where it stands in the file and what was read do not count
+        if type(other) is not Section:
+            return NotImplemented
+        return (self.name, self.entries, self.blocks) == (other.name, other.entries, other.blocks)
 
     def opened(self) -> "Section":
         self.read = self.read or set()
@@ -73,9 +82,16 @@ class Section:
         return self.blocks.get(name)
 
 
-@dataclass
 class SetupDocument:
-    sections: list[Section] = field(default_factory=list)
+    __slots__ = ("sections",)
+
+    def __init__(self, sections: list[Section] | None = None):
+        self.sections = [] if sections is None else sections
+
+    def __eq__(self, other):
+        if type(other) is not SetupDocument:
+            return NotImplemented
+        return self.sections == other.sections
 
     def get(self, name: str) -> Section | None:
         for s in self.sections:
@@ -159,39 +175,58 @@ def parse_document(text: str) -> SetupDocument:
     return doc
 
 
-@dataclass
 class CampaignConfig:
-    seed: int = 0
-    bound: int = 6
-    samples: int = 200
+    __slots__ = ("seed", "bound", "samples")
+
+    def __init__(self, seed: int = 0, bound: int = 6, samples: int = 200):
+        self.seed = seed
+        self.bound = bound
+        self.samples = samples
 
 
-@dataclass
 class BuildDirective:
-    mode: str  # "free" | "extend"
-    choice: str | None = None
-    base: str | None = None
-    steps: list = field(default_factory=list)  # [(GroupElement, RationalFunction)]
+    __slots__ = ("mode", "choice", "base", "steps")
+
+    def __init__(self, mode: str, choice: str | None = None, base: str | None = None,
+                 steps: list | None = None):
+        self.mode = mode  # "free" | "extend"
+        self.choice = choice
+        self.base = base
+        self.steps = [] if steps is None else steps  # [(GroupElement, RationalFunction)]
 
 
-@dataclass
 class AnalyzerDirective:
-    primes: tuple[int, ...]
-    degree_bound: int | None  # None: the analyzer's own default
-    candidates: dict[GroupElement, str] | None
+    __slots__ = ("primes", "degree_bound", "candidates")
+
+    def __init__(self, primes: tuple[int, ...], degree_bound: int | None,
+                 candidates: dict[GroupElement, str] | None):
+        self.primes = primes
+        self.degree_bound = degree_bound  # None: the analyzer's own default
+        self.candidates = candidates
 
 
-@dataclass
 class SetupFile:
     """A fully interpreted setup: ready-made objects, not raw strings."""
 
-    valuation: MonomialValuation
-    lifting: str | None = None
-    choices: dict[str, ChoiceFunction] = field(default_factory=dict)
-    pairs: dict[str, SubgroupWithChoice] = field(default_factory=dict)
-    campaign: CampaignConfig = field(default_factory=CampaignConfig)
-    build: BuildDirective | None = None
-    analyzer: AnalyzerDirective | None = None
+    __slots__ = ("valuation", "lifting", "choices", "pairs", "campaign", "build", "analyzer")
+
+    def __init__(
+        self,
+        valuation: MonomialValuation,
+        lifting: str | None = None,
+        choices: dict[str, ChoiceFunction] | None = None,
+        pairs: dict[str, SubgroupWithChoice] | None = None,
+        campaign: CampaignConfig | None = None,
+        build: BuildDirective | None = None,
+        analyzer: AnalyzerDirective | None = None,
+    ):
+        self.valuation = valuation
+        self.lifting = lifting
+        self.choices = {} if choices is None else choices
+        self.pairs = {} if pairs is None else pairs
+        self.campaign = CampaignConfig() if campaign is None else campaign
+        self.build = build
+        self.analyzer = analyzer
 
 
 def _parse_int(section: str, key: str, value: str) -> int:

@@ -9,7 +9,6 @@ caller's business.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LiftingError
@@ -82,13 +81,16 @@ def product_safe_support(eps: ChoiceFunction, candidates) -> list[GroupElement]:
     return safe
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int
-    failures: list[str] = field(default_factory=list)
-    skipped: str | None = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("name", "cases", "failures", "skipped", "notes")
+
+    def __init__(self, name: str, cases: int, failures: list[str] | None = None,
+                 skipped: str | None = None, notes: list[str] | None = None):
+        self.name = name
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.skipped = skipped
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
@@ -100,15 +102,18 @@ class SuiteResult:
         return "PASS" if self.ok else "FAIL"
 
 
-@dataclass
 class ChoiceSetup:
     """One valuation plus one choice function, ready for a campaign."""
 
-    name: str
-    valuation: MonomialValuation
-    eps: ChoiceFunction
-    lifting: object | None = None  # callable ResidueElement -> RationalFunction
-    support: list[GroupElement] = field(default_factory=list)  # degrees safe for operands
+    __slots__ = ("name", "valuation", "eps", "lifting", "support")
+
+    def __init__(self, name: str, valuation: MonomialValuation, eps: ChoiceFunction,
+                 lifting=None, support: list[GroupElement] | None = None):
+        self.name = name
+        self.valuation = valuation
+        self.eps = eps
+        self.lifting = lifting  # callable ResidueElement -> RationalFunction, or None
+        self.support = [] if support is None else support  # degrees safe for operands
 
 
 def fixed_nontrivial_setup() -> ChoiceSetup:

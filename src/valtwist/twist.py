@@ -18,7 +18,6 @@ exponents and corrects each coefficient product by the twisting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -173,7 +172,6 @@ def _subgroup_elements(generators, bound: int) -> list[GroupElement]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
 class ExtensionStep:
     """One radical step of a :class:`GeneratorChoice` chain.
 
@@ -182,14 +180,20 @@ class ExtensionStep:
     ``n0*gamma`` against the previous subgroup's generators.
     """
 
-    gamma: GroupElement
-    x_gamma: RationalFunction
-    n0: int | None
-    x0: RationalFunction | None
-    root_class: str | None
-    root_witness: RationalFunction | None
-    factor: RationalFunction
-    carry: tuple[int, ...] | None
+    __slots__ = ("gamma", "x_gamma", "n0", "x0", "root_class", "root_witness", "factor", "carry")
+
+    def __init__(self, gamma: GroupElement, x_gamma: RationalFunction, n0: int | None,
+                 x0: RationalFunction | None, root_class: str | None,
+                 root_witness: RationalFunction | None, factor: RationalFunction,
+                 carry: tuple[int, ...] | None):
+        self.gamma = gamma
+        self.x_gamma = x_gamma
+        self.n0 = n0
+        self.x0 = x0
+        self.root_class = root_class
+        self.root_witness = root_witness
+        self.factor = factor
+        self.carry = carry
 
 
 class GeneratorChoice(ChoiceFunction):
@@ -248,7 +252,8 @@ class GeneratorChoice(ChoiceFunction):
         out = RationalFunction(1)
         for n, b in zip(coeffs, self._bases):
             if n:
-                out = out * b**n
+                # a digit of ±1 skips the vector-form round trip of a power
+                out = out * (b if n == 1 else b.inv() if n == -1 else b**n)
         return out
 
     def contains(self, gamma: GroupElement) -> bool:
@@ -300,7 +305,7 @@ class TwistedRingElement:
         self.coeffs: dict[GroupElement, ResidueElement] = {}
         if coeffs:
             for gamma, c in coeffs.items():
-                if isinstance(c, (int, Fraction)):
+                if type(c) is not ResidueElement and isinstance(c, (int, Fraction)):
                     c = valuation.residue_constant(c)
                 if not c.is_zero():
                     self.coeffs[gamma] = c

@@ -340,7 +340,7 @@ class ResidueElement:
         return RationalFunction(self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not ResidueElement and isinstance(other, (int, Fraction)):
             other = self.valuation.residue_constant(other)
         other = self._check(other)
         if self.const is not None and other.const is not None:
@@ -352,7 +352,7 @@ class ResidueElement:
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not ResidueElement and isinstance(other, (int, Fraction)):
             other = self.valuation.residue_constant(other)
         other = self._check(other)
         if self.const is not None and other.const is not None:
@@ -383,7 +383,7 @@ class ResidueElement:
         return ResidueElement(self.valuation, -self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not ResidueElement and isinstance(other, (int, Fraction)):
             other = self.valuation.residue_constant(other)
         return self + (-other)
 
@@ -405,7 +405,7 @@ class ResidueElement:
         return self._make(self.valuation, self.num**n, self.den**n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not ResidueElement and isinstance(other, (int, Fraction)):
             other = self.valuation.residue_constant(other)
         elif not isinstance(other, ResidueElement):
             return NotImplemented

@@ -389,6 +389,15 @@ def test_module_entry_point():
     assert "verdict: CONFLICT" in proc.stdout
 
 
+def test_cold_import_loads_no_record_machinery():
+    # each command pays the import; pytest itself has loaded both modules here
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, valtwist.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("command, setup, code", [
     ("build", "chain_radical.vt", 0),
     ("counterexample", "counterexample_conflict.vt", 1),

@@ -15,6 +15,7 @@ from valtwist.constructions import (
     WALK_LIMIT,
     AnalyzerReport,
     ConsistentTable,
+    SubgroupWithChoice,
     _augmented_recheck,
     _is_prime,
     analyze_counterexample,
@@ -118,9 +119,7 @@ class TestExtensionStep:
             extend_choice(zchain_base, ge("1/2"), "z")
 
     def test_uncertified_base_rejected(self, zchain_base):
-        import dataclasses
-
-        broken = dataclasses.replace(zchain_base, certified_trivial=False)
+        broken = SubgroupWithChoice(zchain_base.subgroup, zchain_base.choice, certified_trivial=False)
         with pytest.raises(ValueError):
             extend_choice(broken, ge("1/2"), "z^3")
 
