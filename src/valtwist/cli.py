@@ -37,7 +37,6 @@ from pathlib import Path
 
 from .constructions import AnalyzerReport, analyze_counterexample, extend_choice
 from .errors import RootNotFound, SetupError
-from .graded import constant_lift
 from .setupfile import SetupFile, load_setup
 from .suites import (
     ChoiceSetup,
@@ -107,12 +106,11 @@ def _suite_records(results: list[SuiteResult]):
 
 
 def _setups_for(setup: SetupFile) -> list[ChoiceSetup]:
-    lifting = constant_lift if setup.lifting == "constants" else None
     out = []
     for name in sorted(setup.choices):
         eps = setup.choices[name]
         support = product_safe_support(eps, eps.domain_elements(2))
-        out.append(ChoiceSetup(name, setup.valuation, eps, lifting, support))
+        out.append(ChoiceSetup(name, setup.valuation, eps, setup.lifting, support))
     if not out:
         raise SetupError("this command needs at least one [choice NAME] section")
     return out

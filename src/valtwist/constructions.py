@@ -111,7 +111,7 @@ def extend_choice(base: SubgroupWithChoice, gamma, x_gamma) -> SubgroupWithChoic
                 f"the extension by {gamma} cannot be completed"
             )
         carry = tuple(base.subgroup.decompose(n0 * gamma))
-        step = ExtensionStep(gamma, x_gamma, n0, x0, str(cls), a, a * x_gamma, carry)
+        step = ExtensionStep(gamma, x_gamma, n0, x0, cls, a, a * x_gamma, carry)
     eps = GeneratorChoice(v, chain.generators, chain.witnesses, chain.steps + (step,))
     return SubgroupWithChoice(eps.subgroup, eps, certified_trivial=True)
 

@@ -14,11 +14,12 @@ brace blocks of quoted pairs.
 
 Sections: ``[valuation]`` (variable weights), ``[ring]`` (optional
 ``lifting = constants``), ``[campaign]`` (``seed``, ``bound >= 0``,
-``samples >= 1``), any number of ``[choice NAME]`` with a ``table { }`` or
-``generators { }`` block, ``[build]`` (``mode = free`` with ``choice =
-NAME``, or ``mode = extend`` with ``base = NAME`` and a ``steps { }`` block
-applied in file order), and ``[analyzer]`` (``primes``, then an optional
-``degree_bound`` or a ``candidates { }`` block, not both).
+``1 <= samples <= SAMPLE_LIMIT``), any number of ``[choice NAME]`` with a
+``table { }`` or ``generators { }`` block, ``[build]`` (``mode = free``
+with ``choice = NAME``, or ``mode = extend`` with ``base = NAME`` and a
+``steps { }`` block applied in file order), and ``[analyzer]``
+(``primes``, then an optional ``degree_bound`` or a ``candidates { }``
+block, not both).
 
 ``load_setup`` interprets a setup text and rejects with
 :class:`SetupError` anything malformed — in particular a tabulated value
@@ -34,6 +35,7 @@ import re
 
 from .constructions import SubgroupWithChoice, counterexample_valuation, free_pair
 from .errors import SetupError
+from .graded import constant_lift
 from .mpoly import parse_rational_function
 from .ordgroup import GroupElement
 from .twist import ChoiceFunction, TableChoice
@@ -46,6 +48,9 @@ __all__ = [
     "parse_document",
     "load_setup",
 ]
+
+# [campaign] samples above this would run for hours (about 0.5 ms a sample)
+SAMPLE_LIMIT = 10**5
 
 
 class Section:
@@ -213,7 +218,7 @@ class SetupFile:
     def __init__(
         self,
         valuation: MonomialValuation,
-        lifting: str | None = None,
+        lifting=None,
         choices: dict[str, ChoiceFunction] | None = None,
         pairs: dict[str, SubgroupWithChoice] | None = None,
         campaign: CampaignConfig | None = None,
@@ -221,7 +226,7 @@ class SetupFile:
         analyzer: AnalyzerDirective | None = None,
     ):
         self.valuation = valuation
-        self.lifting = lifting
+        self.lifting = lifting  # the lifting oracle (constant_lift), or None
         self.choices = {} if choices is None else choices
         self.pairs = {} if pairs is None else pairs
         self.campaign = CampaignConfig() if campaign is None else campaign
@@ -310,9 +315,10 @@ def load_setup(text: str) -> SetupFile:
     ring = doc.get("ring")
     if ring is not None:
         lifting = ring.entry("lifting")
-        if lifting is not None and lifting != "constants":
+        if lifting == "constants":
+            setup.lifting = constant_lift
+        elif lifting is not None:
             raise SetupError(f"[ring] unknown lifting oracle {lifting!r}")
-        setup.lifting = lifting
 
     campaign = doc.get("campaign")
     if campaign is not None:
@@ -326,6 +332,10 @@ def load_setup(text: str) -> SetupFile:
             raise SetupError(f"[campaign] bound must be non-negative, got {cfg.bound}")
         if cfg.samples < 1:
             raise SetupError(f"[campaign] samples must be at least 1, got {cfg.samples}")
+        if cfg.samples > SAMPLE_LIMIT:
+            raise SetupError(
+                f"[campaign] samples must be at most {SAMPLE_LIMIT}, got {cfg.samples}"
+            )
         setup.campaign = cfg
 
     for section in doc.choice_sections():

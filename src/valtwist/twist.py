@@ -183,7 +183,7 @@ class ExtensionStep:
     __slots__ = ("gamma", "x_gamma", "n0", "x0", "root_class", "root_witness", "factor", "carry")
 
     def __init__(self, gamma: GroupElement, x_gamma: RationalFunction, n0: int | None,
-                 x0: RationalFunction | None, root_class: str | None,
+                 x0: RationalFunction | None, root_class: ResidueElement | None,
                  root_witness: RationalFunction | None, factor: RationalFunction,
                  carry: tuple[int, ...] | None):
         self.gamma = gamma

@@ -25,18 +25,17 @@ factors' initial parts, and its value is read off those parts.  One routine,
 :meth:`MonomialValuation.residue`, computes every residue that way, so a
 quotient is never normalized whole only to drop its higher-value tails.
 
-A :class:`ResidueElement` is a value-zero class of the residue field,
-represented by a quotient of initial polynomials of equal value (or the
-zero class, which only arises from additive cancellation).  Its ``const``
-is set exactly when the class is a rational number, also one hidden behind
-a common factor that is not a monomial; the normalizing constructor
-:meth:`ResidueElement._make` decides that in one place.  Most classes met
-in practice are rational: a twisting or a ψ coefficient of one-term
-quotients whose monomials cancel.  Products, sums and comparisons of
-rational classes are rational arithmetic, with no polynomial product and
-no quotient normalization, and their ``num`` and ``den`` are built only
-when first read (for a printed report, ``rep`` or a cross product with a
-non-rational class).
+A :class:`ResidueElement` is a value-zero class of the residue field, held
+in one of two forms: the rational number ``const``, or one normalized
+quotient of initial polynomials of equal value.  The class is rational
+also when a common factor that is not a monomial hides it; the
+constructor :meth:`ResidueElement._make` decides that in one place.  Most
+classes met in practice are rational: a twisting or a ψ coefficient of
+one-term quotients whose monomials cancel.  Products, sums and comparisons
+of rational classes are rational arithmetic, with no polynomial product
+and no quotient normalization, and a rational class builds its quotient
+``c / 1`` only when ``rep`` is first read (for a printed report or for
+arithmetic with a class that is not rational).
 """
 
 from __future__ import annotations
@@ -208,7 +207,7 @@ class MonomialValuation:
             raise ValueError(
                 f"residue needs a value-zero element, got value {_reduced(diff, self._scale)}"
             )
-        return ResidueElement._make(self, num, den)
+        return ResidueElement._make(self, RationalFunction(num, den))
 
     def residue_zero(self) -> "ResidueElement":
         return ResidueElement._constant(self, 0)
@@ -262,70 +261,55 @@ def _cancelled_coefficients(factors, over) -> int | Fraction | None:
 
 
 class ResidueElement:
-    """A residue-field element as a quotient of initial polynomials.
-
-    Invariant: ``num`` and ``den`` are initial with equal values (den
-    nonzero); the zero class has ``num == 0``.  Equality is
-    cross-multiplied polynomial equality, exact because initial parts are
-    multiplicative for monomial valuations.
+    """A residue-field element: a rational number, or one normalized quotient.
 
     ``const`` is the class as a rational number (an ``int`` when integral)
-    when it is one, and None exactly when it is not; ``is_zero`` reads it.
-    :meth:`_make` normalizes a quotient and decides that; the constructor
-    takes a quotient that is not a rational number as given.  Products,
-    sums and equality of two rational classes are rational arithmetic on
-    ``const``.  A rational class leaves ``num`` and ``den`` unset until one
-    is first read; they are then stored as ``c`` over 1, or 0 over 1.
+    when it is one, and None exactly when it is not; :meth:`_make` decides
+    that, and the constructor takes a quotient that is not rational as
+    given.  That quotient is initial, its numerator and denominator of equal
+    value, so equality is quotient equality, exact because initial parts are
+    multiplicative for monomial valuations.  Arithmetic on two rational
+    classes is arithmetic on ``const``; all else is quotient arithmetic on
+    :meth:`rep`, which a rational class builds as ``c / 1`` on first read.
     """
 
-    __slots__ = ("valuation", "num", "den", "const")
+    __slots__ = ("valuation", "const", "_rep")
 
-    def __init__(self, valuation: MonomialValuation, num: Polynomial, den: Polynomial):
+    def __init__(self, valuation: MonomialValuation, rep: RationalFunction):
         self.valuation = valuation
-        self.num = num
-        self.den = den
         self.const = None
+        self._rep = rep
 
     @classmethod
     def _constant(cls, valuation, c) -> "ResidueElement":
-        """The class of the rational ``c``, which is already an ``int`` when integral.
-
-        ``num`` and ``den`` stay unset until :meth:`__getattr__` builds them.
-        """
+        """The class of the rational ``c``, which is already an ``int`` when integral."""
         out = object.__new__(cls)
         out.valuation = valuation
         out.const = c
+        out._rep = None
         return out
 
-    def __getattr__(self, name):
-        # reached when plain lookup fails; only a constant class's unset
-        # num and den are built here
-        c = self.const if name == "num" or name == "den" else None
-        if c is None:
-            raise AttributeError(f"'ResidueElement' object has no attribute {name!r}")
-        self.num = Polynomial({_ONE_MONOMIAL: c} if c else {})
-        self.den = Polynomial.one()
-        return self.num if name == "num" else self.den
-
     @classmethod
-    def _make(cls, valuation, num: Polynomial, den: Polynomial) -> "ResidueElement":
-        """The class of num / den, rational exactly when num is a rational multiple of den."""
-        rf = RationalFunction(num, den)
-        num, den = rf.num, rf.den
-        if not num.terms:
+    def _make(cls, valuation, rf: RationalFunction) -> "ResidueElement":
+        """The class of the normalized quotient rf, rational exactly when rf.num = c·rf.den."""
+        num, den = rf.num.terms, rf.den.terms
+        if not num:
             return cls._constant(valuation, 0)
-        if len(num.terms) == len(den.terms):
+        if len(num) == len(den):
             # if num = c·den, any monomial of num is one of den, with the ratio c
-            m, nc = next(iter(num.terms.items()))
-            dc = den.terms.get(m)
+            m, nc = next(iter(num.items()))
+            dc = den.get(m)
             if dc is not None:
                 c = _div(nc, dc)
-                if num.terms == den.scale(c).terms:
+                if num == rf.den.scale(c).terms:
                     return cls._constant(valuation, c)
-        return cls(valuation, num, den)
+        return cls(valuation, rf)
 
     def _check(self, other) -> "ResidueElement":
+        """``other`` as a class over this valuation; a rational number is coerced."""
         if not isinstance(other, ResidueElement):
+            if isinstance(other, (int, Fraction)):
+                return self.valuation.residue_constant(other)
             raise TypeError(f"expected ResidueElement, got {type(other).__name__}")
         if other.valuation != self.valuation:
             raise ValueError("residues over different valuations cannot be combined")
@@ -335,25 +319,22 @@ class ResidueElement:
         return self.const == 0
 
     def rep(self) -> RationalFunction:
-        if self.is_zero():
-            return RationalFunction(0)
-        return RationalFunction(self.num, self.den)
+        rep = self._rep
+        if rep is None:
+            rep = self._rep = RationalFunction(self.const)
+        return rep
 
     def __mul__(self, other):
-        if type(other) is not ResidueElement and isinstance(other, (int, Fraction)):
-            other = self.valuation.residue_constant(other)
         other = self._check(other)
         if self.const is not None and other.const is not None:
             return self._constant(self.valuation, _coeff(self.const * other.const))
         if self.is_zero() or other.is_zero():
             return self.valuation.residue_zero()
-        return self._make(self.valuation, self.num * other.num, self.den * other.den)
+        return self._make(self.valuation, self.rep() * other.rep())
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if type(other) is not ResidueElement and isinstance(other, (int, Fraction)):
-            other = self.valuation.residue_constant(other)
         other = self._check(other)
         if self.const is not None and other.const is not None:
             return self._constant(self.valuation, _coeff(self.const + other.const))
@@ -361,31 +342,28 @@ class ResidueElement:
             return other
         if other.is_zero():
             return self
-        num = self.num * other.den + other.num * self.den
-        if num.is_zero():
+        s = self.rep() + other.rep()
+        if s.is_zero():
             return self.valuation.residue_zero()
-        den = self.den * other.den
         # like-value terms may cancel partially, never drop below the shared value
-        v_num = self.valuation.polynomial_value(num)
-        v_den = self.valuation.polynomial_value(den)
+        v_num = self.valuation.polynomial_value(s.num)
+        v_den = self.valuation.polynomial_value(s.den)
         if v_num != v_den:
             raise RuntimeError(
-                f"residue sum ({self}) + ({other}): numerator {num} has value "
-                f"{v_num}, denominator {den} has value {v_den}"
+                f"residue sum ({self}) + ({other}): numerator {s.num} has value "
+                f"{v_num}, denominator {s.den} has value {v_den}"
             )
-        return self._make(self.valuation, num, den)
+        return self._make(self.valuation, s)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.const is not None:
             return self._constant(self.valuation, -self.const)
-        return ResidueElement(self.valuation, -self.num, self.den)
+        return ResidueElement(self.valuation, -self._rep)
 
     def __sub__(self, other):
-        if type(other) is not ResidueElement and isinstance(other, (int, Fraction)):
-            other = self.valuation.residue_constant(other)
-        return self + (-other)
+        return self + (-self._check(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -393,27 +371,25 @@ class ResidueElement:
     def inv(self) -> "ResidueElement":
         if self.is_zero():
             raise ZeroDivisionError("the zero class has no inverse")
-        return self._make(self.valuation, self.den, self.num)
+        return self._make(self.valuation, self.rep().inv())
 
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ValueError("powers must be integers")
         if n < 0:
             return self.inv() ** (-n)
-        if self.is_zero():
-            return self if n else self.valuation.residue_one()
-        return self._make(self.valuation, self.num**n, self.den**n)
+        return self._make(self.valuation, self.rep() ** n)
 
     def __eq__(self, other):
-        if type(other) is not ResidueElement and isinstance(other, (int, Fraction)):
-            other = self.valuation.residue_constant(other)
-        elif not isinstance(other, ResidueElement):
+        try:
+            other = self._check(other)
+        except TypeError:
             return NotImplemented
-        if other.valuation != self.valuation:
+        except ValueError:
             return False
         if self.const is not None and other.const is not None:
             return self.const == other.const
-        return self.num * other.den == other.num * self.den
+        return self.rep() == other.rep()
 
     def nth_root(self, n: int) -> RationalFunction | None:
         """A field element a with residue(a**n) == self, or None.
@@ -428,7 +404,7 @@ class ResidueElement:
         return rf_nth_root(self.rep(), n)
 
     def __str__(self):
-        return "0" if self.is_zero() else str(self.rep())
+        return str(self.rep())
 
     def __repr__(self):
         return f"ResidueElement({self})"

@@ -223,7 +223,7 @@ def _residue_by_quotient(v, q):
     c = Fraction(nc) / dc
     if nm == dm and rep.num == rep.den.scale(c):
         return v.residue_constant(c)
-    return ResidueElement(v, rep.num, rep.den)
+    return ResidueElement(v, rep)
 
 
 def _assert_same_residue(got, want):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valtwist.errors import SetupError
+from valtwist.graded import constant_lift
 from valtwist.mpoly import parse_rational_function
 from valtwist.ordgroup import GroupElement
 from valtwist.setupfile import _UNCOMMENTED, load_setup, parse_document
@@ -98,7 +99,7 @@ class TestLoadSetup:
     def test_full_file(self):
         setup = load_setup(GOOD)
         assert sorted(setup.valuation.weights) == ["x", "y"]
-        assert setup.lifting == "constants"
+        assert setup.lifting is constant_lift
         assert setup.campaign.seed == 42 and setup.campaign.samples == 200
         eps = setup.choices["free"]
         assert isinstance(eps, GeneratorChoice)
@@ -172,7 +173,9 @@ class TestLoadSetup:
             load_setup("[valuation]\nx = 1\n\n[campaign]\nseed = many\n")
 
     @pytest.mark.parametrize(
-        "entry,key", [("bound = -1", "bound"), ("samples = 0", "samples"), ("samples = -5", "samples")]
+        "entry,key",
+        [("bound = -1", "bound"), ("samples = 0", "samples"), ("samples = -5", "samples"),
+         ("samples = 100001", "samples")],
     )
     def test_vacuous_campaign_values_rejected(self, entry, key):
         with pytest.raises(SetupError, match=rf"^\[campaign\] {key} must be"):

@@ -262,14 +262,14 @@ def test_residue_constant_lane_matches_the_general_path(f, g, c, leftover):
     # order residue forms them (factors equal to 1 are skipped)
     num, _ = _vxyz._initial_product([f.num, g.num, h.den])
     den, _ = _vxyz._initial_product([f.den, g.den, h.num])
-    want = ResidueElement._make(_vxyz, num, den)
+    want = ResidueElement._make(_vxyz, RationalFunction(num, den))
     if _vxyz.value(f * g / h) != _vxyz.group_zero:
         with pytest.raises(ValueError, match="value-zero element"):
             _vxyz.residue(f, g, over=(h,))
         return
     got = _vxyz.residue(f, g, over=(h,))
-    assert _terms(got.num) == _terms(want.num)
-    assert _terms(got.den) == _terms(want.den)
+    assert _terms(got.rep().num) == _terms(want.rep().num)
+    assert _terms(got.rep().den) == _terms(want.rep().den)
     assert got.const == want.const and type(got.const) is type(want.const)
     assert (got.const is not None) == (leftover == "1")
     assert str(got) == str(want) and got.const == want.const
@@ -294,9 +294,9 @@ def test_constant_class_arithmetic_matches_rational_functions(a, b):
 
 # --- lazy constant classes ---------------------------------------------------
 #
-# A constant class leaves num and den unset until they are read; what it
-# then shows must be the eager form c / 1 (0 / 1 for zero), coefficient
-# types included.
+# A constant class leaves its quotient unbuilt until rep() is first read;
+# what it then shows must be the eager form c / 1 (0 / 1 for zero),
+# coefficient types included.
 
 _class_constants = st.one_of(
     st.integers(-10**20, 10**20),
@@ -304,7 +304,7 @@ _class_constants = st.one_of(
 )
 
 
-@given(_class_constants, st.sampled_from(["num", "str", "rep", "const"]))
+@given(_class_constants, st.sampled_from(["eq", "str", "rep", "const"]))
 def test_lazy_constant_classes_match_the_eager_form(c, first_read):
     c = _coeff(c)
     num, den = Polynomial({Monomial(): c} if c else {}), Polynomial.one()
@@ -324,18 +324,18 @@ def test_lazy_constant_classes_match_the_eager_form(c, first_read):
             _vxyz.residue(RF("x + z"), over=(RF(f"x / {c}"),)),  # the general path
         ]
     for r in classes:
-        for slot in ("num", "den"):
-            with pytest.raises(AttributeError):
-                getattr(ResidueElement, slot).__get__(r)  # not built yet
+        assert r._rep is None  # not built yet
         assert r.is_zero() == (c == 0) and r.const == c and type(r.const) is type(c)
-        # the first read builds num and den, whichever method reads them
-        if first_read == "str":
+        # the first read builds the quotient, whichever method reads it
+        if first_read == "eq":
+            assert r != _vxyz.residue(RF("x / y"))
+        elif first_read == "str":
             assert str(r) == ("0" if c == 0 else str(eager_rep))
         elif first_read == "rep":
             assert _terms(r.rep().num) == _terms(eager_rep.num)
         elif first_read == "const":
             assert r.const == c and type(r.const) is type(c)
-        assert _terms(r.num) == _terms(num) and _terms(r.den) == _terms(den)
+        assert _terms(r.rep().num) == _terms(num) and _terms(r.rep().den) == _terms(den)
         assert _terms(r.rep().num) == _terms(eager_rep.num)
         assert _terms(r.rep().den) == _terms(eager_rep.den)
         assert str(r) == ("0" if c == 0 else str(eager_rep))
@@ -348,6 +348,17 @@ def test_unset_attributes_other_than_num_and_den_still_raise():
         r.numerator
     non_constant = _vxyz.residue(RF("x / y"))
     assert non_constant.const is None and str(non_constant) == "x / y"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _vxyz.residue_constant(Fraction(-3, 2)),
+    lambda: _vxyz.residue(RF("x + y"), over=(RF("2*x"),)),
+], ids=["rational", "not_rational"])
+def test_rep_is_built_once(make):
+    r = make()
+    first = r.rep()
+    assert r.rep() is first
+    assert str(r) == str(first) and r.rep() is first
 
 
 # --- the monomial value memo --------------------------------------------------
