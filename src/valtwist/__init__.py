@@ -29,7 +29,7 @@ from .mpoly import (
     parse_rational_function,
     rf_nth_root,
 )
-from .ordgroup import FgSubgroup, GroupElement, rationally_independent
+from .ordgroup import FgSubgroup, GroupElement
 from .constructions import (
     AnalyzerReport,
     ExtensionStep,

@@ -112,7 +112,7 @@ def extend_choice(base: SubgroupWithChoice, gamma, x_gamma) -> SubgroupWithChoic
             )
         carry = tuple(base.subgroup.decompose(n0 * gamma))
         step = ExtensionStep(gamma, x_gamma, n0, x0, cls, a, a * x_gamma, carry)
-    eps = GeneratorChoice(v, chain.generators, chain.witnesses, chain.steps + (step,))
+    eps = chain.extended(step)
     return SubgroupWithChoice(eps.subgroup, eps, certified_trivial=True)
 
 
@@ -278,7 +278,7 @@ class AnalyzerReport:
     """Everything the analyzer established about one finite prime set.
 
     Each mode sets only the fields it establishes; the others keep their
-    empty defaults.
+    empty defaults.  Table degrees and values stay objects, rendered by ``str``.
     """
 
     __slots__ = ("primes", "mode", "verdict", "narrative", "degree_bound", "candidates",
@@ -293,8 +293,8 @@ class AnalyzerReport:
         verdict: str,  # "VACUOUS" | "CONFLICT" | "DIVISIBILITY"
         narrative: tuple[str, ...],
         degree_bound: int | None = None,
-        candidates: tuple[tuple[str, str], ...] | None = None,
-        initial_table: tuple[tuple[str, str], ...] | None = None,
+        candidates: tuple[tuple[GroupElement, RationalFunction], ...] | None = None,
+        initial_table: tuple[tuple[GroupElement, RationalFunction], ...] | None = None,
         forced: tuple[PowerCheck, ...] = (),
         roots: tuple[RootRecord, ...] = (),
         unit_degree: int | None = None,
@@ -466,8 +466,8 @@ def _analyze_table(primes, valuation, lcm_p, candidates) -> AnalyzerReport:
         mode="table",
         verdict=verdict,
         narrative=_NARRATIVE_FINITE,
-        candidates=tuple((str(d), str(v)) for d, v in raw.items()),
-        initial_table=tuple((str(d), str(v)) for d, v in initial.items()),
+        candidates=tuple(raw.items()),
+        initial_table=tuple(initial.items()),
         forced=tuple(forced),
         roots=tuple(roots),
         unit_degree=unit_degree,

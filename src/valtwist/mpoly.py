@@ -47,7 +47,8 @@ exponents over them, and each coefficient as an ``int`` numerator over one
 common denominator (``_vectors``, and ``_polynomial`` back).  Monomials
 multiply by adding tuples, lex order on the tuples is the monomial order,
 and all coefficient arithmetic is on integers.  A product of two
-polynomials stays on term maps: converting both costs more than it saves.
+polynomials stays on term maps: converting both costs more than it saves,
+and a power of one term needs neither (exponents times n, coefficient**n).
 
 Text format
 -----------
@@ -389,18 +390,28 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """``self**n`` for an integer ``n >= 0``, by squaring and multiplying.
+        """``self**n`` for an integer ``n >= 0``; a base of one term powers it directly.
 
-        A base of more than one term is powered in vector form (see the
-        module docstring), converted there and back once, so each integral
-        coefficient of the power is an ``int``.
+        A longer base is powered in vector form (see the module docstring) by
+        squaring and multiplying, so each integral coefficient is an ``int``.
         """
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
+        if n == 0:
+            return Polynomial.one()
         if len(self.terms) < 2:
-            return _power(self, n, Polynomial.one(), Polynomial.__mul__)
-        names, terms, den = _vectors(self)
-        return _polynomial(names, _power(terms, n, {(0,) * len(names): 1}, _vector_mul), den**n)
+            return Polynomial({
+                Monomial._raw(tuple([(var, e * n) for var, e in m.exps])): c**n
+                for m, c in self.terms.items()
+            })
+        names, base, den = _vectors(self)
+        result, den = {(0,) * len(names): 1}, den**n
+        while n:
+            if n & 1:
+                result = _vector_mul(result, base)
+            base = _vector_mul(base, base) if n > 1 else base
+            n >>= 1
+        return _polynomial(names, result, den)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -655,17 +666,6 @@ def _vector_mul(a: dict, b: dict) -> dict:
             m = tuple(map(add, m1, m2))
             acc[m] = acc.get(m, 0) + c1 * c2
     return {m: c for m, c in acc.items() if c}
-
-
-def _power(base, n: int, one, mul):
-    """``base**n`` by squaring and multiplying with ``mul``, from ``one``."""
-    result = one
-    while n:
-        if n & 1:
-            result = mul(result, base)
-        base = mul(base, base) if n > 1 else base
-        n >>= 1
-    return result
 
 
 def _int_nth_root(m: int, n: int) -> int | None:

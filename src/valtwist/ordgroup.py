@@ -26,7 +26,6 @@ from .errors import DimensionMismatchError
 __all__ = [
     "GroupElement",
     "FgSubgroup",
-    "rationally_independent",
 ]
 
 
@@ -375,11 +374,3 @@ class FgSubgroup:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"FgSubgroup(dim={self.dim}, [{gens}])"
-
-
-def rationally_independent(elements) -> bool:
-    """Whether the given group elements are linearly independent over Q."""
-    elements = list(elements)
-    if not elements:
-        return True
-    return FgSubgroup(elements[0].dim, elements).rank == len(elements)

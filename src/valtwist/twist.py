@@ -200,8 +200,8 @@ class GeneratorChoice(ChoiceFunction):
     """Certified-trivial choice function: free generators, then radical steps.
 
     Given independent degrees g_j with witnesses w_j, v(w_j) = g_j, and
-    steps (γ_i, n0_i, f_i) built by ``constructions.extend_choice``, every
-    degree ψ of the subgroup splits canonically as
+    steps (γ_i, n0_i, f_i), every degree ψ of the subgroup splits
+    canonically as
 
         ψ = Σ m_j g_j + Σ n_i γ_i,   0 <= n_i < n0_i (n_i free if n0_i is None),
 
@@ -209,10 +209,13 @@ class GeneratorChoice(ChoiceFunction):
     decomposition of ψ: from the last step down, n_i = r_i mod n0_i and the
     carry (r_i - n_i)/n0_i re-enters the earlier coordinates through the
     step's witness of n0_i·γ_i.  The product is exactly multiplicative, so
-    the twisting is identically 1.  A free choice is a chain of no steps.
+    the twisting is identically 1.  The constructor builds a free choice, a
+    chain of no steps; :meth:`extended` adds a step whose root
+    ``constructions.extend_choice`` found.  Its :class:`RootNotFound` is a
+    disproof for a rational obstruction class only, else "no root found".
     """
 
-    def __init__(self, valuation: MonomialValuation, generators, witnesses, steps=()):
+    def __init__(self, valuation: MonomialValuation, generators, witnesses):
         super().__init__(valuation)
         gens = [g if isinstance(g, GroupElement) else GroupElement(g) for g in generators]
         wits = [as_rational_function(w) for w in witnesses]
@@ -220,18 +223,25 @@ class GeneratorChoice(ChoiceFunction):
             raise ValueError("need exactly one witness per generator")
         if not gens:
             raise ValueError("need at least one generator")
-        free = FgSubgroup(gens[0].dim, gens)
-        if free.rank != len(gens):
+        self.subgroup = FgSubgroup(gens[0].dim, gens)
+        if self.subgroup.rank != len(gens):
             raise ValueError("generators must be rationally independent")
         for g, w in zip(gens, wits):
             _check_witness(valuation, w, g)
         self.generators = tuple(gens)
-        self.witnesses = tuple(wits)
-        self.steps = tuple(steps)
-        self.subgroup = (
-            FgSubgroup(free.dim, gens + [s.gamma for s in self.steps]) if self.steps else free
-        )
-        self._bases = self.witnesses + tuple(s.factor for s in self.steps)
+        self.witnesses = self._bases = tuple(wits)
+        self.steps = ()
+
+    def extended(self, step: ExtensionStep) -> "GeneratorChoice":
+        """This chain, left unchanged, plus one step: the checked generators and
+        witnesses are shared, the subgroup gains step.gamma, and the memo is fresh."""
+        out = object.__new__(GeneratorChoice)
+        ChoiceFunction.__init__(out, self.valuation)
+        out.generators, out.witnesses = self.generators, self.witnesses
+        out.steps = self.steps + (step,)
+        out.subgroup = FgSubgroup(self.subgroup.dim, self.subgroup.generators + (step.gamma,))
+        out._bases = self._bases + (step.factor,)
+        return out
 
     @property
     def step(self) -> ExtensionStep | None:

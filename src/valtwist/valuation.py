@@ -49,6 +49,7 @@ from .mpoly import (
     RationalFunction,
     _coeff,
     _div,
+    _rational_nth_root,
     as_rational_function,
     rf_nth_root,
 )
@@ -396,11 +397,15 @@ class ResidueElement:
 
         For a rational class None is a disproof: Kv is purely transcendental
         over Q, so a rational number has an n-th root in Kv exactly when it
-        has one in Q, and the root of a constant is decided exactly.  For
-        any other class None means only that no root was found.
+        has one in Q, and that root is decided exactly on ``const``.  For
+        any other class the quotient goes to :func:`rf_nth_root`, whose None
+        means only that no root was found.
         """
         if self.is_zero():
             return None
+        if self.const is not None:
+            root = _rational_nth_root(self.const, n)
+            return None if root is None else RationalFunction(root)
         return rf_nth_root(self.rep(), n)
 
     def __str__(self):

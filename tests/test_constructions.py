@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valtwist import cli, constructions
+from valtwist import cli, constructions, ordgroup, twist
 from valtwist.constructions import (
     PRIME_LIMIT,
     UNIT_POOL_LIMIT,
@@ -164,6 +164,50 @@ class TestExtensionStep:
         eps = pair.choice
         assert eps(GroupElement((2, 3))) == RF("x^2*y^3")
         assert is_trivial(eps, 3)[0]
+
+    def test_a_long_chain_reuses_each_base(self, monkeypatch):
+        # eps(1) = 2^256 z^256 with v(z) = 1/256; each step 1/2^k halves both exponents
+        v = MonomialValuation({"z": Fraction(1, 256)})
+        pairs = [free_pair(v, [GroupElement(1)], [f"{2**256}*z^256"])]
+        counts = {"subgroup": 0, "witness": 0}
+        full_init, check = ordgroup.FgSubgroup.__init__, twist._check_witness
+
+        def counted_init(self, *args):
+            counts["subgroup"] += 1
+            full_init(self, *args)
+
+        def counted_check(*args):
+            counts["witness"] += 1
+            check(*args)
+
+        monkeypatch.setattr(ordgroup.FgSubgroup, "__init__", counted_init)
+        monkeypatch.setattr(twist, "_check_witness", counted_check)
+        before = []
+        for k in range(1, 9):
+            prev = pairs[-1]
+            before.append((prev.choice.steps, prev.subgroup.generators,
+                           [(list(r.vec), list(r.coeffs)) for r in prev.subgroup._rows]))
+            pairs.append(extend_choice(prev, ge(Fraction(1, 2**k)), f"z^{256 >> k}"))
+        # one subgroup per step; extend_choice checks the new witness through
+        # its own binding, not twist's
+        assert counts == {"subgroup": 8, "witness": 0}
+        free_pair(v, [GroupElement(1)], ["z^256"])
+        assert counts == {"subgroup": 9, "witness": 1}
+        eps = pairs[-1].choice
+        assert [s.n0 for s in eps.steps] == [2] * 8
+        assert str(eps.step.factor) == "2*z"
+        window = [ge(Fraction(k, 256)) for k in range(-40, 41, 3)]
+        for a in window:
+            for b in window:
+                assert eps(a) * eps(b) == eps(a + b)
+        # every intermediate pair keeps its own chain, subgroup and rows
+        for pair, (steps, gens, rows) in zip(pairs, before):
+            assert pair.choice.steps == steps and pair.subgroup is pair.choice.subgroup
+            assert pair.subgroup.generators == gens
+            assert [(list(r.vec), list(r.coeffs)) for r in pair.subgroup._rows] == rows
+        for k, pair in enumerate(pairs):
+            assert len(pair.choice.steps) == k
+            assert pair.choice(ge(Fraction(1, 2**k))) == RF(f"{2**(256 >> k)}*z^{256 >> k}")
 
 
 class TestMakeInitial:

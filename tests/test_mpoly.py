@@ -577,6 +577,28 @@ def test_power_matches_the_square_and_multiply_loop(p, n):
         assert type(c) is (int if c.denominator == 1 else Fraction), f"{c!r} in {p}**{n}"
 
 
+# a constant, an int, a Fraction, a negative or an integral Fraction coefficient
+_one_term_polys = st.dictionaries(
+    st.one_of(st.just(Monomial()), _pow_monos), st.one_of(_any_coeffs, st.just(-1)), max_size=1
+).map(Polynomial)
+
+
+@given(_one_term_polys, st.integers(0, 7))
+def test_one_term_power_matches_repeated_products(p, n):
+    want = Polynomial.one()
+    for _ in range(n):
+        want = want * p
+    before = _typed_terms(p)
+    assert _typed_terms(p**n) == _typed_terms(want)
+    assert _typed_terms(p) == before
+
+
+def test_one_term_power_frozen():
+    assert _typed_terms(P("-2*x^2*y") ** 3) == [((("x", 6), ("y", 3)), -8, int)]
+    assert _typed_terms(P("3/2") ** 2) == [((), Fraction(9, 4), Fraction)]
+    assert P("x") ** 0 == Polynomial.one() and Polynomial.zero() ** 0 == Polynomial.one()
+    assert Polynomial.zero() ** 3 == Polynomial.zero()
+
 # --- nth_root against the re-powering recursion ------------------------------
 #
 # nth_root keeps f - g**n exact as g grows; the reference recomputes it from

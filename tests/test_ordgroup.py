@@ -12,7 +12,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import valtwist
 from valtwist.errors import DimensionMismatchError
-from valtwist.ordgroup import FgSubgroup, GroupElement, _reduced, rationally_independent
+from valtwist.ordgroup import FgSubgroup, GroupElement, _reduced
+
+
+def rationally_independent(elements) -> bool:
+    """Whether the given group elements are linearly independent over Q."""
+    elements = list(elements)
+    if not elements:
+        return True
+    return FgSubgroup(elements[0].dim, elements).rank == len(elements)
 
 
 def g(*coords):
