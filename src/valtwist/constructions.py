@@ -10,10 +10,12 @@ the chain :class:`GeneratorChoice`: free generators, then radical steps.
   pair (Phi, eps) and a new degree g outside Phi with witness x_g, either
   no positive multiple of g lies in Phi (then eps extends by
   eps(a + n*g) = eps(a) * x_g**n), or the least such multiple n0 >= 2
-  does, and an exact n0-th root a of eps(n0*g)/x_g**n0 — produced by the
-  radical oracle, else :class:`RootNotFound` — makes
-  eps(a + n*g) = eps(a) * (a*x_g)**n with the canonical exponent
-  0 <= n < n0 exactly multiplicative again.  The result is the base chain
+  does, and an n0-th root r of the residue class of eps(n0*g)/x_g**n0 —
+  produced by the radical oracle, else :class:`RootNotFound` — makes
+  eps(a + n*g) = eps(a) * (r*x_g)**n with the canonical exponent
+  0 <= n < n0 a choice whose twisting is identically 1.  It is exactly
+  multiplicative when the base is and r**n0 equals eps(n0*g)/x_g**n0
+  itself; otherwise only up to residue.  The result is the base chain
   with one more step.
 
 The analyzer mechanizes the finite-prime part of the degree obstruction:
@@ -34,6 +36,7 @@ primes at once is reported as narrative, not machine-checked.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -46,7 +49,7 @@ from .mpoly import (
     parse_rational_function,
     rf_nth_root,
 )
-from .ordgroup import FgSubgroup, GroupElement
+from .ordgroup import GroupElement
 from .twist import (ChoiceFunction, ExtensionStep, GeneratorChoice, TableChoice,
                     _check_witness, is_trivial)
 from .valuation import MonomialValuation
@@ -66,15 +69,10 @@ __all__ = [
 ]
 
 
-class SubgroupWithChoice:
+class SubgroupWithChoice(namedtuple("SubgroupWithChoice", "subgroup choice certified_trivial")):
     """A value subgroup together with a choice function defined on it."""
 
-    __slots__ = ("subgroup", "choice", "certified_trivial")
-
-    def __init__(self, subgroup: FgSubgroup, choice: ChoiceFunction, certified_trivial: bool):
-        self.subgroup = subgroup
-        self.choice = choice
-        self.certified_trivial = certified_trivial
+    __slots__ = ()
 
 
 def free_pair(valuation: MonomialValuation, generators, witnesses) -> SubgroupWithChoice:
@@ -124,18 +122,10 @@ def make_initial(eps: TableChoice) -> TableChoice:
     return TableChoice(v, {g: v.initial_rf(f) for g, f in eps.items()})
 
 
-class PowerCheck:
+class PowerCheck(namedtuple("PowerCheck", "alpha n lhs rhs consistent")):
     """Outcome of one forced power identity eps(alpha)^n vs eps(n*alpha)."""
 
-    __slots__ = ("alpha", "n", "lhs", "rhs", "consistent")
-
-    def __init__(self, alpha: GroupElement, n: int, lhs: Polynomial, rhs: Polynomial,
-                 consistent: bool):
-        self.alpha = alpha
-        self.n = n
-        self.lhs = lhs
-        self.rhs = rhs
-        self.consistent = consistent
+    __slots__ = ()
 
     def identity(self) -> str:
         op = "==" if self.consistent else "!="
@@ -248,79 +238,31 @@ def _exponents(primes, f: RationalFunction) -> tuple[int, ...]:
     return tuple(num.exponent(f"x{p}") - den.exponent(f"x{p}") for p in primes)
 
 
-class RootRecord:
-    __slots__ = ("p", "root", "divides")
-
-    def __init__(self, p: int, root: str | None, divides: bool):
-        self.p = p
-        self.root = root
-        self.divides = divides
+class RootRecord(namedtuple("RootRecord", "p root divides")):
+    __slots__ = ()
 
 
-class ConsistentTable:
-    __slots__ = ("assignments", "unit_degree", "divisible", "recheck_ok")
-
-    def __init__(self, assignments: tuple[tuple[str, str], ...], unit_degree: int,
-                 divisible: bool, recheck_ok: bool):
-        self.assignments = assignments
-        self.unit_degree = unit_degree
-        self.divisible = divisible
-        self.recheck_ok = recheck_ok
-
-    def __eq__(self, other):
-        if type(other) is not ConsistentTable:
-            return NotImplemented
-        return (self.assignments, self.unit_degree, self.divisible, self.recheck_ok) == (
-            other.assignments, other.unit_degree, other.divisible, other.recheck_ok)
+class ConsistentTable(namedtuple("ConsistentTable",
+                                 "assignments unit_degree divisible recheck_ok")):
+    __slots__ = ()
 
 
-class AnalyzerReport:
+class AnalyzerReport(namedtuple(
+    "AnalyzerReport",
+    "primes mode verdict narrative degree_bound candidates initial_table forced roots"
+    " unit_degree degree_caveat lcm_primes divisible conflict_detail pool_sizes"
+    " consistent_tables",
+    defaults=(None, None, None, (), (), None, False, None, None, None, None, None),
+)):
     """Everything the analyzer established about one finite prime set.
 
-    Each mode sets only the fields it establishes; the others keep their
-    empty defaults.  Table degrees and values stay objects, rendered by ``str``.
+    ``mode`` is "vacuous", "table" or "enumerate" and ``verdict`` is
+    "VACUOUS", "CONFLICT" or "DIVISIBILITY".  Each mode sets only the fields
+    it establishes; the others keep their empty defaults.  Table degrees and
+    values stay objects, rendered by ``str``.
     """
 
-    __slots__ = ("primes", "mode", "verdict", "narrative", "degree_bound", "candidates",
-                 "initial_table", "forced", "roots", "unit_degree", "degree_caveat",
-                 "lcm_primes", "divisible", "conflict_detail", "pool_sizes",
-                 "consistent_tables")
-
-    def __init__(
-        self,
-        primes: tuple[int, ...],
-        mode: str,  # "vacuous" | "table" | "enumerate"
-        verdict: str,  # "VACUOUS" | "CONFLICT" | "DIVISIBILITY"
-        narrative: tuple[str, ...],
-        degree_bound: int | None = None,
-        candidates: tuple[tuple[GroupElement, RationalFunction], ...] | None = None,
-        initial_table: tuple[tuple[GroupElement, RationalFunction], ...] | None = None,
-        forced: tuple[PowerCheck, ...] = (),
-        roots: tuple[RootRecord, ...] = (),
-        unit_degree: int | None = None,
-        degree_caveat: bool = False,
-        lcm_primes: int | None = None,
-        divisible: bool | None = None,
-        conflict_detail: str | None = None,
-        pool_sizes: tuple[tuple[str, int], ...] | None = None,
-        consistent_tables: tuple[ConsistentTable, ...] | None = None,
-    ):
-        self.primes = primes
-        self.mode = mode
-        self.verdict = verdict
-        self.narrative = narrative
-        self.degree_bound = degree_bound
-        self.candidates = candidates
-        self.initial_table = initial_table
-        self.forced = forced
-        self.roots = roots
-        self.unit_degree = unit_degree
-        self.degree_caveat = degree_caveat
-        self.lcm_primes = lcm_primes
-        self.divisible = divisible
-        self.conflict_detail = conflict_detail
-        self.pool_sizes = pool_sizes
-        self.consistent_tables = consistent_tables
+    __slots__ = ()
 
     @property
     def exit_code(self) -> int:

@@ -249,41 +249,46 @@ _ONE_MONOMIAL = Monomial()
 class Polynomial:
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        elif not isinstance(terms, dict):
-            acc: dict[Monomial, int | Fraction] = {}
-            for mono, coeff in terms:
-                c = _coeff(acc.get(mono, 0) + _coeff(coeff))
-                if c:
-                    acc[mono] = c
-                else:
-                    acc.pop(mono, None)
-            terms = acc
-        self.terms = terms
+    def __init__(self, terms=()):
+        """A polynomial from a dict or an iterable of (monomial, coefficient)
+        pairs; each coefficient is checked, and zero sums are dropped."""
+        acc: dict[Monomial, int | Fraction] = {}
+        for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
+            c = _coeff(coeff) if mono not in acc else _coeff(acc[mono] + _coeff(coeff))
+            if c:
+                acc[mono] = c
+            else:
+                acc.pop(mono, None)
+        self.terms = acc
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "Polynomial":
+        # internal: every coefficient must already be a nonzero int or Fraction
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls({})
+        return cls._raw({})
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls({_ONE_MONOMIAL: 1})
+        return cls._raw({_ONE_MONOMIAL: 1})
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
         c = _coeff(c)
-        return cls({_ONE_MONOMIAL: c} if c else {})
+        return cls._raw({_ONE_MONOMIAL: c} if c else {})
 
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> "Polynomial":
-        return cls({Monomial(((name, exp),)): 1})
+        return cls._raw({Monomial(((name, exp),)): 1})
 
     @classmethod
     def term(cls, mono: Monomial, coeff) -> "Polynomial":
         c = _coeff(coeff)
-        return cls({mono: c} if c else {})
+        return cls._raw({mono: c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -341,12 +346,12 @@ class Polynomial:
                 acc[mono] = c
             else:
                 del acc[mono]
-        return Polynomial(acc)
+        return Polynomial._raw(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial._raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -370,12 +375,12 @@ class Polynomial:
             (mono, coeff), = other.terms.items()
             if not mono.exps and coeff == 1 and type(coeff) is int:
                 return self
-            return Polynomial({m.mul(mono): c * coeff for m, c in self.terms.items()})
+            return Polynomial._raw({m.mul(mono): c * coeff for m, c in self.terms.items()})
         if len(self.terms) == 1:
             (mono, coeff), = self.terms.items()
             if not mono.exps and coeff == 1 and type(coeff) is int:
                 return other
-            return Polynomial({m.mul(mono): c * coeff for m, c in other.terms.items()})
+            return Polynomial._raw({m.mul(mono): c * coeff for m, c in other.terms.items()})
         acc: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -385,7 +390,7 @@ class Polynomial:
                     acc[m] = c
                 else:
                     del acc[m]
-        return Polynomial(acc)
+        return Polynomial._raw(acc)
 
     __rmul__ = __mul__
 
@@ -400,7 +405,7 @@ class Polynomial:
         if n == 0:
             return Polynomial.one()
         if len(self.terms) < 2:
-            return Polynomial({
+            return Polynomial._raw({
                 Monomial._raw(tuple([(var, e * n) for var, e in m.exps])): c**n
                 for m, c in self.terms.items()
             })
@@ -423,7 +428,7 @@ class Polynomial:
         c = _coeff(c)
         if not c:
             return Polynomial.zero()
-        return Polynomial({m: _coeff(coeff * c) for m, coeff in self.terms.items()})
+        return Polynomial._raw({m: _coeff(coeff * c) for m, coeff in self.terms.items()})
 
     def monomial_content(self) -> Monomial:
         """Componentwise minimum of the exponent vectors (1 for the zero polynomial)."""
@@ -445,7 +450,7 @@ class Polynomial:
             if q is None:
                 raise ValueError(f"{mono} does not divide every term of {self}")
             acc[q] = c
-        return Polynomial(acc)
+        return Polynomial._raw(acc)
 
     def __str__(self):
         if not self.terms:
@@ -490,9 +495,9 @@ class RationalFunction:
                 g = mn.gcd(md)
                 n, d = mn.div(g), md.div(g)
                 if cd != 1:
-                    num, den = Polynomial({n: _div(cn, cd)}), Polynomial({d: 1})
+                    num, den = Polynomial._raw({n: _div(cn, cd)}), Polynomial._raw({d: 1})
                 elif n is not mn:
-                    num, den = Polynomial({n: cn}), Polynomial({d: cd})
+                    num, den = Polynomial._raw({n: cn}), Polynomial._raw({d: cd})
                 self.num = num
                 self.den = den
                 return
@@ -652,7 +657,7 @@ def _vectors(f: Polynomial):
 
 def _polynomial(names, terms: dict, den: int) -> Polynomial:
     """The polynomial of a vector form; an integral coefficient becomes an ``int``."""
-    return Polynomial({
+    return Polynomial._raw({
         Monomial._raw(tuple((var, e) for var, e in zip(names, v) if e)): _div(c, den)
         for v, c in terms.items()
     })
@@ -722,7 +727,7 @@ def nth_root(f: Polynomial, n: int) -> Polynomial | None:
         root_c = _rational_nth_root(c, n)
         if root_c is None or any(e % n for _, e in m.exps):
             return None
-        return Polynomial({Monomial._raw(tuple((var, e // n) for var, e in m.exps)): root_c})
+        return Polynomial._raw({Monomial._raw(tuple((var, e // n) for var, e in m.exps)): root_c})
     names, h, D = _vectors(f)
     lm, tm = max(h), min(h)
     root_c = _rational_nth_root(_div(h[lm], D), n)

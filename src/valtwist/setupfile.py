@@ -32,13 +32,15 @@ section, a choice name, or a block's degree, compared after parsing.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from types import MappingProxyType
 
-from .constructions import SubgroupWithChoice, counterexample_valuation, free_pair
+from .constructions import counterexample_valuation, free_pair
 from .errors import SetupError
 from .graded import constant_lift
 from .mpoly import parse_rational_function
 from .ordgroup import GroupElement
-from .twist import ChoiceFunction, TableChoice
+from .twist import TableChoice
 from .valuation import MonomialValuation
 
 __all__ = [
@@ -180,58 +182,32 @@ def parse_document(text: str) -> SetupDocument:
     return doc
 
 
-class CampaignConfig:
-    __slots__ = ("seed", "bound", "samples")
-
-    def __init__(self, seed: int = 0, bound: int = 6, samples: int = 200):
-        self.seed = seed
-        self.bound = bound
-        self.samples = samples
+class CampaignConfig(namedtuple("CampaignConfig", "seed bound samples", defaults=(0, 6, 200))):
+    __slots__ = ()
 
 
-class BuildDirective:
-    __slots__ = ("mode", "choice", "base", "steps")
+class BuildDirective(namedtuple("BuildDirective", "mode choice base steps",
+                                defaults=(None, None, ()))):
+    """``mode`` is "free" or "extend"; ``steps`` holds (GroupElement, RationalFunction) pairs."""
 
-    def __init__(self, mode: str, choice: str | None = None, base: str | None = None,
-                 steps: list | None = None):
-        self.mode = mode  # "free" | "extend"
-        self.choice = choice
-        self.base = base
-        self.steps = [] if steps is None else steps  # [(GroupElement, RationalFunction)]
+    __slots__ = ()
 
 
-class AnalyzerDirective:
-    __slots__ = ("primes", "degree_bound", "candidates")
+class AnalyzerDirective(namedtuple("AnalyzerDirective", "primes degree_bound candidates")):
+    """``degree_bound`` is None for the analyzer's own default."""
 
-    def __init__(self, primes: tuple[int, ...], degree_bound: int | None,
-                 candidates: dict[GroupElement, str] | None):
-        self.primes = primes
-        self.degree_bound = degree_bound  # None: the analyzer's own default
-        self.candidates = candidates
+    __slots__ = ()
 
 
-class SetupFile:
-    """A fully interpreted setup: ready-made objects, not raw strings."""
+class SetupFile(namedtuple(
+    "SetupFile",
+    "valuation lifting choices pairs campaign build analyzer",
+    defaults=(None, MappingProxyType({}), MappingProxyType({}), CampaignConfig(), None, None),
+)):
+    """A fully interpreted setup: ready-made objects, not raw strings.  ``lifting``
+    is the lifting oracle (constant_lift) or None; ``pairs`` certifies each generators choice."""
 
-    __slots__ = ("valuation", "lifting", "choices", "pairs", "campaign", "build", "analyzer")
-
-    def __init__(
-        self,
-        valuation: MonomialValuation,
-        lifting=None,
-        choices: dict[str, ChoiceFunction] | None = None,
-        pairs: dict[str, SubgroupWithChoice] | None = None,
-        campaign: CampaignConfig | None = None,
-        build: BuildDirective | None = None,
-        analyzer: AnalyzerDirective | None = None,
-    ):
-        self.valuation = valuation
-        self.lifting = lifting  # the lifting oracle (constant_lift), or None
-        self.choices = {} if choices is None else choices
-        self.pairs = {} if pairs is None else pairs
-        self.campaign = CampaignConfig() if campaign is None else campaign
-        self.build = build
-        self.analyzer = analyzer
+    __slots__ = ()
 
 
 def _parse_int(section: str, key: str, value: str) -> int:
@@ -310,38 +286,39 @@ def load_setup(text: str) -> SetupFile:
         except ValueError as exc:
             raise SetupError(f"[valuation] {exc}") from None
 
-    setup = SetupFile(valuation=valuation, analyzer=analyzer)
-
+    lifting = None
     ring = doc.get("ring")
     if ring is not None:
-        lifting = ring.entry("lifting")
-        if lifting == "constants":
-            setup.lifting = constant_lift
-        elif lifting is not None:
-            raise SetupError(f"[ring] unknown lifting oracle {lifting!r}")
+        name = ring.entry("lifting")
+        if name == "constants":
+            lifting = constant_lift
+        elif name is not None:
+            raise SetupError(f"[ring] unknown lifting oracle {name!r}")
 
-    campaign = doc.get("campaign")
-    if campaign is not None:
-        cfg = CampaignConfig()
-        for key in ("seed", "bound", "samples"):
-            value = campaign.entry(key)
+    campaign = CampaignConfig()
+    section = doc.get("campaign")
+    if section is not None:
+        values = {}
+        for key in CampaignConfig._fields:
+            value = section.entry(key)
             if value is not None:
-                setattr(cfg, key, _parse_int("campaign", key, value))
+                values[key] = _parse_int("campaign", key, value)
+        campaign = CampaignConfig(**values)
         # a negative height or no samples would make every verdict vacuous
-        if cfg.bound < 0:
-            raise SetupError(f"[campaign] bound must be non-negative, got {cfg.bound}")
-        if cfg.samples < 1:
-            raise SetupError(f"[campaign] samples must be at least 1, got {cfg.samples}")
-        if cfg.samples > SAMPLE_LIMIT:
+        if campaign.bound < 0:
+            raise SetupError(f"[campaign] bound must be non-negative, got {campaign.bound}")
+        if campaign.samples < 1:
+            raise SetupError(f"[campaign] samples must be at least 1, got {campaign.samples}")
+        if campaign.samples > SAMPLE_LIMIT:
             raise SetupError(
-                f"[campaign] samples must be at most {SAMPLE_LIMIT}, got {cfg.samples}"
+                f"[campaign] samples must be at most {SAMPLE_LIMIT}, got {campaign.samples}"
             )
-        setup.campaign = cfg
 
+    choices, pairs = {}, {}
     for section in doc.choice_sections():
         # the parser strips the name, so "choice " is always followed by one
         name = section.name.split(None, 1)[1]
-        if name in setup.choices:
+        if name in choices:
             raise SetupError(f"line {section.line}: repeated choice name {name!r}")
         kinds = [k for k in ("table", "generators") if section.block(k) is not None]
         if len(kinds) != 1:
@@ -352,38 +329,32 @@ def load_setup(text: str) -> SetupFile:
         parsed = dict(_parse_pairs(section, kinds[0], valuation.dim, what, parse_rational_function))
         try:
             if kinds[0] == "table":
-                setup.choices[name] = TableChoice(valuation, parsed)
+                choices[name] = TableChoice(valuation, parsed)
             else:
-                pair = free_pair(valuation, list(parsed), list(parsed.values()))
-                setup.choices[name] = pair.choice
-                setup.pairs[name] = pair
+                pairs[name] = free_pair(valuation, list(parsed), list(parsed.values()))
+                choices[name] = pairs[name].choice
         except ValueError as exc:
             raise SetupError(f"[{section.name}] {exc}") from None
 
-    build = doc.get("build")
-    if build is not None:
-        mode = build.entry("mode")
+    build = None
+    section = doc.get("build")
+    if section is not None:
+        mode = section.entry("mode")
         if mode not in ("free", "extend"):
             raise SetupError(f"[build] mode must be free or extend, got {mode!r}")
-        directive = BuildDirective(mode=mode)
+        key = "choice" if mode == "free" else "base"
+        name = section.entry(key)
+        if name not in pairs:
+            raise SetupError(f"[build] mode = {mode} needs {key} = NAME of a generators choice")
         if mode == "free":
-            directive.choice = build.entry("choice")
-            if directive.choice not in setup.pairs:
-                raise SetupError(
-                    "[build] mode = free needs choice = NAME of a generators choice"
-                )
+            build = BuildDirective(mode, choice=name)
         else:
-            directive.base = build.entry("base")
-            if directive.base not in setup.pairs:
-                raise SetupError(
-                    "[build] mode = extend needs base = NAME of a generators choice"
-                )
-            if not build.block("steps"):
+            if not section.block("steps"):
                 raise SetupError("[build] mode = extend needs a non-empty steps block")
-            directive.steps = _parse_pairs(
-                build, "steps", valuation.dim, "[build] bad step", parse_rational_function
+            steps = _parse_pairs(
+                section, "steps", valuation.dim, "[build] bad step", parse_rational_function
             )
-        setup.build = directive
+            build = BuildDirective(mode, base=name, steps=steps)
 
     doc.reject_unread()
-    return setup
+    return SetupFile(valuation, lifting, choices, pairs, campaign, build, analyzer)

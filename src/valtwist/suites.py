@@ -9,6 +9,7 @@ caller's business.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import LiftingError
@@ -102,18 +103,12 @@ class SuiteResult:
         return "PASS" if self.ok else "FAIL"
 
 
-class ChoiceSetup:
-    """One valuation plus one choice function, ready for a campaign."""
+class ChoiceSetup(namedtuple("ChoiceSetup", "name valuation eps lifting support",
+                             defaults=(None, ()))):
+    """One valuation plus one choice function, ready for a campaign: ``lifting``
+    maps residues to field elements (or is None), ``support`` lists operand degrees."""
 
-    __slots__ = ("name", "valuation", "eps", "lifting", "support")
-
-    def __init__(self, name: str, valuation: MonomialValuation, eps: ChoiceFunction,
-                 lifting=None, support: list[GroupElement] | None = None):
-        self.name = name
-        self.valuation = valuation
-        self.eps = eps
-        self.lifting = lifting  # callable ResidueElement -> RationalFunction, or None
-        self.support = [] if support is None else support  # degrees safe for operands
+    __slots__ = ()
 
 
 def fixed_nontrivial_setup() -> ChoiceSetup:

@@ -18,6 +18,7 @@ exponents and corrects each coefficient product by the twisting.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -172,7 +173,8 @@ def _subgroup_elements(generators, bound: int) -> list[GroupElement]:
     return sorted(out)
 
 
-class ExtensionStep:
+class ExtensionStep(namedtuple(
+        "ExtensionStep", "gamma x_gamma n0 x0 root_class root_witness factor carry")):
     """One radical step of a :class:`GeneratorChoice` chain.
 
     ``n0`` is the least multiple of ``gamma`` returning to the previous
@@ -180,20 +182,7 @@ class ExtensionStep:
     ``n0*gamma`` against the previous subgroup's generators.
     """
 
-    __slots__ = ("gamma", "x_gamma", "n0", "x0", "root_class", "root_witness", "factor", "carry")
-
-    def __init__(self, gamma: GroupElement, x_gamma: RationalFunction, n0: int | None,
-                 x0: RationalFunction | None, root_class: ResidueElement | None,
-                 root_witness: RationalFunction | None, factor: RationalFunction,
-                 carry: tuple[int, ...] | None):
-        self.gamma = gamma
-        self.x_gamma = x_gamma
-        self.n0 = n0
-        self.x0 = x0
-        self.root_class = root_class
-        self.root_witness = root_witness
-        self.factor = factor
-        self.carry = carry
+    __slots__ = ()
 
 
 class GeneratorChoice(ChoiceFunction):
@@ -208,9 +197,14 @@ class GeneratorChoice(ChoiceFunction):
     and ε(ψ) = Π w_j^{m_j} · Π f_i^{n_i}.  The digits come from one
     decomposition of ψ: from the last step down, n_i = r_i mod n0_i and the
     carry (r_i - n_i)/n0_i re-enters the earlier coordinates through the
-    step's witness of n0_i·γ_i.  The product is exactly multiplicative, so
-    the twisting is identically 1.  The constructor builds a free choice, a
-    chain of no steps; :meth:`extended` adds a step whose root
+    step's witness of n0_i·γ_i.  A carry trades ε(n0_i·γ_i) for f_i^{n0_i},
+    where f_i = a_i·x_i, x_i is the step's witness and a_i an n0_i-th root
+    of the residue class of ε(n0_i·γ_i)/x_i^{n0_i}.  The two differ by a
+    factor of residue 1, so the twisting is identically 1, but ε is
+    multiplicative only up to residue: exactly so when every
+    ε(n0_i·γ_i)/x_i^{n0_i} equals a_i^{n0_i} itself, as the constants 64
+    and 8 of the chain_radical setup do.  The constructor builds a free
+    choice, a chain of no steps; :meth:`extended` adds a step whose root
     ``constructions.extend_choice`` found.  Its :class:`RootNotFound` is a
     disproof for a rational obstruction class only, else "no root found".
     """

@@ -144,7 +144,7 @@ class MonomialValuation:
                 cut, keep = val, {m: c}
             elif val == cut:
                 keep[m] = c
-        return (p if len(keep) == len(terms) else Polynomial(keep)), cut
+        return (p if len(keep) == len(terms) else Polynomial._raw(keep)), cut
 
     def _initial_product(self, factors) -> tuple[Polynomial, tuple]:
         """The product of the factors' initial parts, and the sum of their lattice values.

@@ -4,12 +4,17 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from valtwist import cli, twist
 from valtwist.cli import main
+from valtwist.constructions import analyze_counterexample, extend_choice
+from valtwist.ordgroup import GroupElement
+from valtwist.setupfile import load_setup
+from valtwist.suites import fixed_nontrivial_setup
 
 SETUPS = Path(__file__).resolve().parents[1] / "setups"
 
@@ -396,6 +401,34 @@ def test_cold_import_loads_no_record_machinery():
     code = "import sys, valtwist.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.fixture(scope="module")
+def built_records():
+    setup = load_setup(Path(setup_path("chain_radical.vt")).read_text())
+    pair = extend_choice(setup.pairs["base"], GroupElement(Fraction(1, 2)), "z^3")
+    tables = analyze_counterexample([2, 3], degree_bound=8)
+    conflict = analyze_counterexample([2, 3], {"1/2": "x2", "1/3": "x3", "1": "x2^2"})
+    records = [
+        pair, pair.choice.step, setup, setup.campaign, setup.build,
+        load_setup("[analyzer]\nprimes = 2\n").analyzer, tables, tables.consistent_tables[0],
+        conflict.forced[0], conflict.roots[0], fixed_nontrivial_setup(),
+    ]
+    return {type(r).__name__: r for r in records}
+
+
+@pytest.mark.parametrize("name", [
+    "SubgroupWithChoice", "ExtensionStep", "SetupFile", "CampaignConfig", "BuildDirective",
+    "AnalyzerDirective", "AnalyzerReport", "ConsistentTable", "PowerCheck", "RootRecord",
+    "ChoiceSetup",
+])
+def test_build_once_records_are_immutable(built_records, name):
+    record = built_records[name]
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = "an attribute no field declares"
 
 
 @pytest.mark.parametrize("command, setup, code", [

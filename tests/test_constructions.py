@@ -165,6 +165,17 @@ class TestExtensionStep:
         assert eps(GroupElement((2, 3))) == RF("x^2*y^3")
         assert is_trivial(eps, 3)[0]
 
+    def test_a_step_is_multiplicative_only_up_to_residue(self):
+        # eps(1)/z^6 = 64 + z is no exact square: the root 8 is that of its class
+        v = MonomialValuation({"z": Fraction(1, 6)})
+        base = free_pair(v, [GroupElement(1)], ["64*z^6 + z^7"])
+        eps = extend_choice(base, ge("1/2"), "z^3").choice
+        half = ge("1/2")
+        assert str(eps.step.root_witness) == "8"
+        assert eps(half) ** 2 == RF("64*z^6") != eps(GroupElement(1))
+        assert eps.twisting(half, half) == 1
+        assert is_trivial(eps, 6) == (True, None)
+
     def test_a_long_chain_reuses_each_base(self, monkeypatch):
         # eps(1) = 2^256 z^256 with v(z) = 1/256; each step 1/2^k halves both exponents
         v = MonomialValuation({"z": Fraction(1, 256)})

@@ -197,6 +197,15 @@ class TestPolynomial:
         assert str(f) == "1/2*x / y + 2"
         assert type(f.den.leading()[1]) is int and type(_trailing(f.den)[1]) is int
 
+    def test_dict_input_is_checked_like_pairs(self):
+        m = Monomial({"x": 1})
+        with pytest.raises(TypeError, match="0.5"):
+            Polynomial({m: 0.5})
+        zero = Polynomial({m: 0, Monomial(): Fraction(0)})
+        assert zero.is_zero() and zero.terms == {} and str(zero) == "0"
+        p = Polynomial({m: Fraction(6, 2), Monomial(): Fraction(1, 2)})
+        assert type(p.terms[m]) is int and p == P("3*x + 1/2")
+
     def test_exact_division_never_gives_a_float(self):
         assert type(RationalFunction(2).constant_value()) is int
         c = RationalFunction(Polynomial.constant(2), Polynomial.constant(4)).constant_value()
