@@ -260,7 +260,7 @@ def _random_unit(v, data):
     ties, a non-constant class."""
     names = sorted(v.weights)
     monos = st.lists(st.tuples(st.sampled_from(names), st.integers(0, 2)), max_size=3).map(Monomial)
-    p = data.draw(st.dictionaries(monos, _small_coeffs, min_size=1, max_size=3).map(Polynomial))
+    p = data.draw(st.dictionaries(monos, _small_coeffs, min_size=1, max_size=3).map(Polynomial._raw))
     return RationalFunction(p, Polynomial.term(min(p.terms, key=v.monomial_value), 1))
 
 

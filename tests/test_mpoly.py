@@ -323,7 +323,7 @@ _monos = st.dictionaries(_names, st.integers(1, 3), max_size=2).map(
     lambda d: Monomial(tuple(d.items()))
 )
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
-_polys = st.dictionaries(_monos, _coeffs, min_size=1, max_size=4).map(Polynomial)
+_polys = st.dictionaries(_monos, _coeffs, min_size=1, max_size=4).map(Polynomial._raw)
 
 
 @given(_polys)
@@ -456,13 +456,14 @@ def _typed_terms(p):
     return sorted((m.exps, c, type(c)) for m, c in p.terms.items())
 
 
-# integral Fractions too: the dict constructor stores a coefficient as given
+# integral Fractions too: Polynomial._raw stores a coefficient as given, as
+# arithmetic does (Fraction(1, 2) * 2 stays a Fraction)
 _any_coeffs = st.one_of(_mixed_coeffs, st.integers(-6, 6).filter(bool).map(Fraction))
 
 
 @given(_monos, _any_coeffs, _monos, _any_coeffs)
 def test_one_term_quotient_matches_general_normalization(mn, cn, md, cd):
-    num, den = Polynomial({mn: cn}), Polynomial({md: cd})
+    num, den = Polynomial._raw({mn: cn}), Polynomial._raw({md: cd})
     f = RationalFunction(num, den)
     want_num, want_den = _general_normalization(num, den)
     assert _typed_terms(f.num) == _typed_terms(want_num)
@@ -475,13 +476,13 @@ def test_one_term_quotient_matches_general_normalization(mn, cn, md, cd):
 # the polynomial 1 is the other operand; both must store what the general
 # path stores, coefficient types included, and leave every operand as it was.
 
-# the dict constructor keeps integral Fractions, so both spellings of 1 occur
-_any_polys = st.dictionaries(_monos, _any_coeffs, max_size=4).map(Polynomial)
+# Polynomial._raw keeps integral Fractions, so both spellings of 1 occur
+_any_polys = st.dictionaries(_monos, _any_coeffs, max_size=4).map(Polynomial._raw)
 
 
 @given(_any_polys, st.sampled_from([1, Fraction(1)]))
 def test_over_one_and_times_one_match_the_general_path(p, one):
-    unit = Polynomial({Monomial(): one})
+    unit = Polynomial._raw({Monomial(): one})
     p_before, unit_before = _typed_terms(p), _typed_terms(unit)
     if p.is_zero():
         want_num, want_den = Polynomial.zero(), Polynomial.one()
@@ -496,7 +497,7 @@ def test_over_one_and_times_one_match_the_general_path(p, one):
         assert _typed_terms(f.num) == _typed_terms(want_num)
         assert _typed_terms(f.den) == _typed_terms(want_den)
     # the general one-term product multiplies every coefficient by the unit's
-    want = Polynomial({m: c * one for m, c in p.terms.items()})
+    want = Polynomial._raw({m: c * one for m, c in p.terms.items()})
     for got in products:
         assert _typed_terms(got) == _typed_terms(want)
     assert _typed_terms(p) == p_before and _typed_terms(unit) == unit_before
@@ -573,7 +574,7 @@ def _pow_bases(draw):
         mu = m.mul(u)
         return Polynomial([(m, a), (mu, b), (mu.mul(u), _div(-b * b, 2 * a))])
     coeffs = _fraction_coeffs if kind == "fractions" else _any_coeffs
-    p = Polynomial(draw(st.dictionaries(_pow_monos, coeffs, min_size=2, max_size=6)))
+    p = Polynomial._raw(draw(st.dictionaries(_pow_monos, coeffs, min_size=2, max_size=6)))
     return -p if kind == "negated" else p
 
 
@@ -589,7 +590,7 @@ def test_power_matches_the_square_and_multiply_loop(p, n):
 # a constant, an int, a Fraction, a negative or an integral Fraction coefficient
 _one_term_polys = st.dictionaries(
     st.one_of(st.just(Monomial()), _pow_monos), st.one_of(_any_coeffs, st.just(-1)), max_size=1
-).map(Polynomial)
+).map(Polynomial._raw)
 
 
 @given(_one_term_polys, st.integers(0, 7))

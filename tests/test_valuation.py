@@ -207,7 +207,7 @@ _monos = st.dictionaries(_names, st.integers(1, 3), max_size=2).map(
     lambda d: Monomial(tuple(d.items()))
 )
 _coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
-_polys = st.dictionaries(_monos, _coeffs, min_size=1, max_size=3).map(Polynomial)
+_polys = st.dictionaries(_monos, _coeffs, min_size=1, max_size=3).map(Polynomial._raw)
 
 
 @given(_polys, _polys)
