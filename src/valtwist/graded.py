@@ -46,7 +46,8 @@ class HomogeneousElement:
     The representative is canonicalized to a quotient of initial parts, so
     distinct representatives of one form share their cross products.  Each
     polynomial of the given representative is scanned once, by the pass
-    that finds its initial part; the degree is read off the initial parts.
+    that finds its initial part; both parts of that quotient are homogeneous,
+    so the degree is read off one term of each.
     """
 
     __slots__ = ("valuation", "degree", "rep")
@@ -57,7 +58,7 @@ class HomogeneousElement:
             raise ValueError("use the distinguished zero for vanishing components")
         self.valuation = valuation
         self.rep = valuation.initial_rf(rep)
-        self.degree = valuation.value(self.rep)
+        self.degree = valuation.homogeneous_value(self.rep)
 
     def is_zero(self) -> bool:
         return False

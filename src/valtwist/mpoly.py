@@ -848,7 +848,7 @@ def _parse_poly_tokens(tokens, text: str) -> Polynomial:
     """A sum of signed terms, each a product of numbers and powers of names."""
     if not tokens:
         raise ValueError(f"empty polynomial in {text!r}")
-    total, term, sign, i, n = Polynomial.zero(), None, 1, 0, len(tokens)
+    parts, term, sign, i, n = [], None, 1, 0, len(tokens)
     if tokens[0][0] in ("+", "-"):
         sign, i = (-1 if tokens[0][0] == "-" else 1), 1
     while True:
@@ -881,9 +881,14 @@ def _parse_poly_tokens(tokens, text: str) -> Polynomial:
         if i < n and tokens[i][0] == "*":
             i += 1
             continue
-        total, term = total + term.scale(sign), None
+        parts.append(term.scale(sign))
+        term = None
         if i == n:
-            return total
+            # a balanced tree of sums copies each term O(log n) times, not O(n)
+            while len(parts) > 1:
+                odd = parts[-1:] if len(parts) % 2 else []
+                parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + odd
+            return parts[0]
         kind, value = tokens[i]
         i += 1
         if kind not in ("+", "-"):

@@ -359,7 +359,7 @@ def _random_polynomial_for(setup: ChoiceSetup, rng: random.Random, max_exp: int 
         p = Polynomial(terms)
         if p.is_zero():
             continue
-        if setup.eps.contains(setup.valuation.value(RationalFunction(p))):
+        if setup.eps.contains(setup.valuation.polynomial_value(p)):
             return p
     raise RuntimeError("could not sample a polynomial inside the choice domain")
 
@@ -402,11 +402,11 @@ def psi_suites(setup: ChoiceSetup, rng: random.Random, pairs: int) -> list[Suite
             y = _random_polynomial_for(setup, rng)
         else:
             y = x
-        if v.value(RationalFunction(y)) != v.value(RationalFunction(x)):
+        if v.polynomial_value(y) != v.polynomial_value(x):
             continue
         hx, hy = in_v(v, x), in_v(v, y)
         wd.cases += 1
-        same_form = v.in_eq(RationalFunction(x), RationalFunction(y))
+        same_form = v.in_eq(x, y)
         px = psi(eps, hx)
         if same_form != (px == psi(eps, hy)):
             wd.failures.append(f"trial {t}: in_eq and psi-equality disagree")

@@ -10,7 +10,10 @@ and over that shared positive denominator the lex order of the numerator
 tuples is the order of the values.  Each valuation keeps a memo from
 monomial to that integer vector, so the dot product is taken once per
 monomial; a variable without a weight is never stored and raises on every
-call.
+call.  A second memo, seeded with ``group_zero``, interns degrees: a value
+is one lookup from its lattice vector, and equal degrees are one object, so
+dicts keyed by degree hit on identity.  :meth:`MonomialValuation.in_eq`
+compares lattice vectors too, and never normalizes the difference x - y.
 
 The initial part of a polynomial keeps exactly the minimal-value terms;
 one pass over the terms gives both it and the polynomial's value.
@@ -41,6 +44,7 @@ arithmetic with a class that is not rational).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import DimensionMismatchError
 from .mpoly import (
@@ -59,7 +63,7 @@ __all__ = ["MonomialValuation", "ResidueElement"]
 
 
 class MonomialValuation:
-    __slots__ = ("weights", "dim", "_zero", "_scale", "_vecs", "_memo")
+    __slots__ = ("weights", "dim", "_zero", "_scale", "_vecs", "_memo", "_degrees")
 
     def __init__(self, weights: dict):
         if not weights:
@@ -83,6 +87,8 @@ class MonomialValuation:
         self._vecs = dict(zip(coerced, vecs))
         # monomial -> _lattice(monomial), filled as monomials are met
         self._memo: dict = {}
+        # lattice vector -> its interned GroupElement, filled as values are read
+        self._degrees: dict = {self._zero.num: self._zero}
 
     @property
     def group_zero(self) -> GroupElement:
@@ -113,18 +119,31 @@ class MonomialValuation:
             raise ValueError("the zero polynomial has no value")
         return min(map(self._lattice, p.terms))
 
-    def monomial_value(self, mono) -> GroupElement:
-        return _reduced(self._lattice(mono), self._scale)
-
-    def polynomial_value(self, p: Polynomial) -> GroupElement:
-        return _reduced(self._min_lattice(p), self._scale)
-
-    def value(self, f) -> GroupElement:
-        f = as_rational_function(f)
+    def _rf_lattice(self, f: RationalFunction) -> tuple:
         if f.is_zero():
             raise ValueError("zero has no value")
-        num, den = self._min_lattice(f.num), self._min_lattice(f.den)
-        return _reduced(tuple([a - b for a, b in zip(num, den)]), self._scale)
+        return tuple(map(sub, self._min_lattice(f.num), self._min_lattice(f.den)))
+
+    def _degree(self, vec: tuple) -> GroupElement:
+        """The interned GroupElement of a lattice vector: equal degrees are one object."""
+        g = self._degrees.get(vec)
+        if g is None:
+            g = self._degrees[vec] = _reduced(vec, self._scale)
+        return g
+
+    def monomial_value(self, mono) -> GroupElement:
+        return self._degree(self._lattice(mono))
+
+    def polynomial_value(self, p: Polynomial) -> GroupElement:
+        return self._degree(self._min_lattice(p))
+
+    def value(self, f) -> GroupElement:
+        return self._degree(self._rf_lattice(as_rational_function(f)))
+
+    def homogeneous_value(self, f: RationalFunction) -> GroupElement:
+        """v(f) read off one term of each part; both parts of f must be homogeneous."""
+        num, den = next(iter(f.num.terms)), next(iter(f.den.terms))
+        return self._degree(tuple(map(sub, self._lattice(num), self._lattice(den))))
 
     def _initial(self, p: Polynomial) -> tuple[Polynomial, tuple]:
         """p's initial part and its value in the lattice, from one pass over the terms.
@@ -160,7 +179,7 @@ class MonomialValuation:
                 prod, total = part, val
             else:
                 prod = prod * part
-                total = tuple([a + b for a, b in zip(total, val)])
+                total = tuple(map(add, total, val))
         if prod is None:
             return Polynomial.one(), self._zero.num
         return prod, total
@@ -176,14 +195,15 @@ class MonomialValuation:
         return RationalFunction(self.initial_part(f.num), self.initial_part(f.den))
 
     def in_eq(self, x, y) -> bool:
-        """Initial-form equality: equal values and v(x - y) > v(x)."""
+        """Initial-form equality: v(x) = v(y) and v(x - y) > v(x), that is n = 0 or
+        v(n) > v(x.num) + v(y.den) for n = x.num·y.den - y.num·x.den."""
         x = as_rational_function(x)
         y = as_rational_function(y)
-        vx = self.value(x)
-        if vx != self.value(y):
+        if self._rf_lattice(x) != self._rf_lattice(y):
             return False
-        d = x - y
-        return d.is_zero() or self.value(d) > vx
+        n = x.num * y.den - y.num * x.den
+        bar = map(add, self._min_lattice(x.num), self._min_lattice(y.den))
+        return n.is_zero() or self._min_lattice(n) > tuple(bar)
 
     def residue(self, f, *more, over=()) -> "ResidueElement":
         """The residue class of f·Π more / Π over, field elements of total value 0.
@@ -204,10 +224,8 @@ class MonomialValuation:
         num, value = self._initial_product(nums)
         den, den_value = self._initial_product(dens)
         if value != den_value:
-            diff = tuple([a - b for a, b in zip(value, den_value)])
-            raise ValueError(
-                f"residue needs a value-zero element, got value {_reduced(diff, self._scale)}"
-            )
+            diff = _reduced(tuple(map(sub, value, den_value)), self._scale)
+            raise ValueError(f"residue needs a value-zero element, got value {diff}")
         return ResidueElement._make(self, RationalFunction(num, den))
 
     def residue_zero(self) -> "ResidueElement":

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from valtwist.graded import in_v
 from valtwist.mpoly import (
     Monomial,
     Polynomial,
@@ -381,3 +382,62 @@ def test_lattice_memo_agrees_with_a_fresh_computation(monos):
     for _ in range(2):
         with pytest.raises(ValueError, match="no weight configured for variable 'w'"):
             v.monomial_value(Monomial((("x", 1), ("w", 1))))
+
+
+# --- in_eq on lattice values, and interned degrees ------------------------------
+
+# weights with a kernel, so that distinct monomials share values: x/y and
+# z/x^2 have value 0 in dimension 1, and z/(x*y) has value 0 under lex in Q^2
+_kernel_valuations = st.sampled_from([
+    MonomialValuation({"x": 1, "y": 1, "z": 2}),
+    MonomialValuation({"x": (1, 0), "y": (0, 1), "z": (1, 1)}),
+])
+_kernel_polys = st.dictionaries(
+    _xyz_monos, st.integers(-2, 2).filter(bool), min_size=1, max_size=3
+).map(Polynomial._raw)
+_quotients = st.builds(RationalFunction, _kernel_polys, _kernel_polys)
+
+
+@st.composite
+def _in_eq_pairs(draw):
+    """A quotient x and a second one that often shares x's value or initial form."""
+    x = draw(_quotients)
+    how = draw(st.sampled_from(["other", "shifted", "scaled", "same"]))
+    if how == "other":
+        y = draw(_quotients)
+    elif how == "shifted":  # x + d: d may cancel x's initial form, or sit above or below it
+        y = x + draw(_quotients)
+        assume(not y.is_zero())
+    elif how == "scaled":
+        y = x * draw(st.sampled_from([2, -1, Fraction(1, 3)]))
+    else:
+        y = RationalFunction(x.num.scale(3), x.den.scale(3))
+    return x, y
+
+
+@given(_kernel_valuations, _in_eq_pairs())
+def test_in_eq_matches_its_definition(v, pair):
+    x, y = pair
+    want = v.value(x) == v.value(y) and ((x - y).is_zero() or v.value(x - y) > v.value(x))
+    assert v.in_eq(x, y) == want
+    assert v.in_eq(y, x) == want
+
+
+def test_in_eq_of_zero_raises():
+    v = MonomialValuation({"x": 1, "y": 1, "z": 2})
+    for x, y in ((0, RF("x")), (RF("x"), 0), (RF("x - x"), RF("y"))):
+        with pytest.raises(ValueError, match="^zero has no value$"):
+            v.in_eq(x, y)
+
+
+@given(_kernel_valuations, _quotients, _kernel_polys, _xyz_monos)
+def test_degrees_are_interned(v, f, p, m):
+    # the degree read off the initial parts equals the full scan of the representative
+    h = in_v(v, f)
+    assert h.degree == v.value(f) and h.degree is v.value(f)
+    # equal degrees are one object, whichever entry point reads them
+    t = Polynomial.term(m, 3)
+    assert v.polynomial_value(p) is v.value(p) is v.value(RationalFunction(p * t, t))
+    assert v.monomial_value(m) is v.polynomial_value(t)
+    assert v.value(1) is v.group_zero is v.monomial_value(Monomial())
+    assert v.value(RF("z / x*y") if v.dim == 2 else RF("x / y")) is v.group_zero
