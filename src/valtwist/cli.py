@@ -15,11 +15,13 @@ so an override that would change nothing is a usage error (exit 2).
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (a genuine
 conflict), 2 unusable input, 3 a construction step failed (no radical
-witness).  Reports go to stdout, diagnostics to stderr; for a fixed setup
-file and seed the report is byte-identical across runs.  When the reader
-closes stdout early (``valtwist build ... | head -1``) the rest of the
-report is dropped without a traceback and the exit code is still the
-command's verdict.
+witness), 4 an internal error: the program itself failed, so there is no
+verdict, and stderr carries one ``internal error: <Type>: <message>``
+line with no traceback.  Reports go to stdout, diagnostics to stderr; for
+a fixed setup file and seed the report is byte-identical across runs.
+When the reader closes stdout early (``valtwist build ... | head -1``)
+the rest of the report is dropped without a traceback and the exit code
+is still the command's verdict.
 
 Each command returns one list of report records ``(text, tag, fields)``;
 :func:`main` prints either the text lines or, with ``--machine``, one
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_CONFLICT = 1
 EXIT_INPUT = 2
 EXIT_CONSTRUCTION = 3
+EXIT_INTERNAL = 4
 
 
 def _line(text: str | None, tag: str | None = None, **fields) -> tuple:
@@ -366,6 +369,11 @@ def main(argv=None) -> int:
     except RootNotFound as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
+    except Exception as exc:
+        # a crash is not a verdict: exit 1 must keep meaning a genuine conflict
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         for line in _render(records, args.machine):
             print(line)

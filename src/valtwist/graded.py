@@ -219,8 +219,11 @@ class GradedElement:
 def psi(eps: ChoiceFunction, x) -> TwistedRingElement:
     """Apply ψ to a homogeneous component or a whole graded element.
 
-    The coefficient residue(x/ε(γ)) is taken from x and ε(γ) as factors by
-    :meth:`MonomialValuation.residue`; the quotient is never formed.
+    The coefficient residue(x/ε(γ)) is taken by
+    :meth:`MonomialValuation.residue` from x's canonical quotient and the
+    choice function's memoized initial form ``eps.initial(γ)`` as factors.
+    It reads only initial parts, so the class is that of x/ε(γ), while the
+    expanded ε(γ) is never multiplied; the quotient is never formed.
     """
     v = eps.valuation
     if isinstance(x, _ZeroHomogeneous):
@@ -236,7 +239,7 @@ def psi(eps: ChoiceFunction, x) -> TwistedRingElement:
         raise ValueError("component and choice function use different valuations")
     if not eps.contains(x.degree):
         raise DomainError(f"degree {x.degree} is outside the choice function's domain")
-    coeff = v.residue(x.rep, over=(eps(x.degree),))
+    coeff = v.residue(x.rep, over=(eps.initial(x.degree),))
     return TwistedRingElement.term(v, x.degree, coeff)
 
 

@@ -11,6 +11,12 @@ below reduces exactly to its cocycle identity
 
     ε̄(α, β)·ε̄(α+β, γ) == ε̄(α, β+γ)·ε̄(β, γ).
 
+The twisting depends only on the initial forms in_v(ε(γ)), so a choice
+function also memoizes, per degree, the quotient of ε(γ)'s initial parts,
+and a :class:`TwistingTable` miss reads those three quotients instead of
+the expanded values.  The table refers to its choice function weakly, so
+a dropped choice function is freed at once, without the cyclic collector.
+
 A :class:`TwistedRingElement` is a finite formal sum of residue
 coefficients against degree exponents t^γ; :func:`twisted_mul` adds
 exponents and corrects each coefficient product by the twisting.
@@ -18,6 +24,7 @@ exponents and corrects each coefficient product by the twisting.
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 from math import comb
@@ -57,15 +64,18 @@ class ChoiceFunction:
 
     Subclasses provide ``_evaluate`` (raising :class:`DomainError` outside
     the domain), ``contains``, ``domain_elements`` and ``domain_size``.
-    Evaluations are memoized here; the value invariant v(ε(γ)) = γ is the
-    subclasses' responsibility (tables check every entry at load,
-    rule-based kinds validate their witnesses once and are exact by
-    construction).
+    Two memos live here, both keyed by degree: ``_values`` holds ε(γ) as
+    evaluated, and ``_initials`` the quotient of its initial parts, which
+    is all that a twisting or a ψ coefficient reads of ε(γ).  The value
+    invariant v(ε(γ)) = γ is the subclasses' responsibility (tables check
+    every entry at load, rule-based kinds validate their witnesses once
+    and are exact by construction).
     """
 
     def __init__(self, valuation: MonomialValuation):
         self.valuation = valuation
         self._values: dict[GroupElement, RationalFunction] = {}
+        self._initials: dict[GroupElement, RationalFunction] = {}
         self.twist_table = TwistingTable(self)
 
     def __call__(self, gamma: GroupElement) -> RationalFunction:
@@ -73,6 +83,14 @@ class ChoiceFunction:
         if cached is None:
             cached = self._evaluate(gamma)
             self._values[gamma] = cached
+        return cached
+
+    def initial(self, gamma: GroupElement) -> RationalFunction:
+        """The quotient of the initial parts of ε(γ): the same initial form, in
+        the shape :meth:`MonomialValuation.initial_rf` gives, computed once."""
+        cached = self._initials.get(gamma)
+        if cached is None:
+            cached = self._initials[gamma] = self.valuation.initial_rf(self(gamma))
         return cached
 
     def _evaluate(self, gamma: GroupElement) -> RationalFunction:
@@ -277,24 +295,32 @@ class TwistingTable:
     """Lazily computed map (γ, γ') -> ε̄(γ, γ').
 
     Entries are stored under the sorted key, so symmetry is structural.
-    A miss hands ε(γ), ε(γ') and ε(γ+γ') to :meth:`MonomialValuation.residue`
-    as factors, which multiplies their initial parts; the quotient
-    ε(γ)ε(γ')/ε(γ+γ') itself is never formed.
+    A miss hands the memoized initial forms ``eps.initial`` of γ, γ' and
+    γ+γ' to :meth:`MonomialValuation.residue` as factors.  The residue
+    reads only the factors' initial parts, so the class is that of
+    ε(γ)ε(γ')/ε(γ+γ'), while a value with many terms is never multiplied
+    out; the quotient itself is never formed either.
     Values are residues of value-zero elements and therefore never the
-    zero class.  Safe under concurrent readers: inserts are idempotent and
-    a dict insert is atomic in CPython.
+    zero class.  The table holds its choice function through a weak
+    reference, so it does not keep it alive; a table whose choice function
+    is gone raises :class:`ReferenceError` on a miss.  Safe under
+    concurrent readers: inserts are idempotent and a dict insert is atomic
+    in CPython.
     """
 
     def __init__(self, choice: ChoiceFunction):
-        self.choice = choice
+        self._choice = weakref.ref(choice)
         self._cache: dict[tuple[GroupElement, GroupElement], ResidueElement] = {}
 
     def __call__(self, g1: GroupElement, g2: GroupElement) -> ResidueElement:
         key = (g1, g2) if g1 <= g2 else (g2, g1)
         hit = self._cache.get(key)
         if hit is None:
-            eps = self.choice
-            hit = eps.valuation.residue(eps(g1), eps(g2), over=(eps(g1 + g2),))
+            eps = self._choice()
+            if eps is None:
+                raise ReferenceError("the twisting table's choice function no longer exists")
+            initial = eps.initial
+            hit = eps.valuation.residue(initial(g1), initial(g2), over=(initial(g1 + g2),))
             self._cache[key] = hit
         return hit
 
@@ -422,8 +448,9 @@ def semigroup_hom_check(eps: ChoiceFunction, bound: int) -> bool:
     """Whether ε(α)ε(β) and ε(α+β) agree in initial form on all bounded pairs.
 
     Must always agree with :func:`is_trivial`; the two sides are computed
-    along independent code paths (initial-form equality of field elements
-    here, residue-class equality of quotients there).  Like
+    along independent code paths (initial-form equality of products of the
+    expanded values here, residue classes of the memoized initial forms
+    there).  Like
     :func:`is_trivial` it walks the pairs lazily and stops at the first
     failure.
     """

@@ -156,6 +156,15 @@ class TestCounterexample:
 
 
 class TestErrorPaths:
+    def test_any_other_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def crash(text):
+            raise ValueError("first\nsecond")
+
+        monkeypatch.setattr(cli, "load_setup", crash)
+        rc, out, err = run(capsys, "ring-axioms", "--setup", setup_path("free_lex.vt"))
+        assert (rc, out) == (cli.EXIT_INTERNAL, "")
+        assert err == "internal error: ValueError: first second\n"
+
     def test_missing_file_exits_2(self, capsys):
         rc, _, err = run(capsys, "ring-axioms", "--setup", setup_path("missing.vt"))
         assert rc == 2
@@ -450,3 +459,19 @@ def test_closed_stdout_ends_quietly_with_the_verdict(command, setup, code):
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == code
+
+
+def test_an_internal_error_exits_4_without_a_traceback():
+    # the psi sampler finds no polynomial inside this choice's domain and raises
+    setup = Path(__file__).resolve().parent / "golden" / "setups" / "sampler_miss.vt"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "valtwist", "iso-verify", "--setup", str(setup)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "internal error: RuntimeError: could not sample a polynomial inside the choice domain\n"
+    )

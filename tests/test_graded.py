@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from valtwist.constructions import extend_choice, free_pair
 from valtwist.errors import DegreeMismatchError, DomainError, LiftingError
 from valtwist.graded import (
     HZERO,
@@ -297,6 +298,63 @@ def test_psi_matches_whole_quotient_route(kind, seed, data):
         got = psi(eps, h).coeffs[d]
         _assert_same_residue(got, _residue_by_quotient(v, h.rep / eps(d)))
         _assert_same_residue(got, _residue_by_quotient(v, x / eps(d)))
+
+
+# --- memoized initial forms against the expanded values ------------------------
+#
+# Twistings and psi coefficients read ``eps.initial(γ)``, the quotient of the
+# initial parts of ε(γ), where they once read the expanded ε(γ).  The
+# reference is the residue of the expanded values: the class and its
+# representation must not change.
+
+
+def _free_lex_tail_choice(data):
+    """The free lex choice on Q(x, y) with witnesses that carry higher-value
+    tails: c0*x + c1*x*y, and (c2*y^2 + c3*x) / (y + c4*x), whose denominator
+    is not a monomial."""
+    c = [data.draw(_small_coeffs) for _ in range(5)]
+    v = MonomialValuation({"x": (1, 0), "y": (0, 1)})
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    wx = RationalFunction(x.scale(c[0]) + (x * y).scale(c[1]))
+    wy = RationalFunction((y * y).scale(c[2]) + x.scale(c[3]), y + x.scale(c[4]))
+    return GeneratorChoice(v, [GroupElement((1, 0)), GroupElement((0, 1))], [wx, wy])
+
+
+def _radical_chain(data):
+    """Two radical steps, 1/2 and then 1/6, over v(z) = 1/6 and the base
+    ε(1) = 64*z^6 + c0*z^7; the last step's witness is z + c1*z^2."""
+    c0, c1 = data.draw(_small_coeffs), data.draw(_small_coeffs)
+    z = Polynomial.variable
+    base_witness = RationalFunction(z("z", 6).scale(64) + z("z", 7).scale(c0))
+    base = free_pair(MonomialValuation({"z": Fraction(1, 6)}), [GroupElement(1)], [base_witness])
+    half = extend_choice(base, GroupElement(Fraction(1, 2)), "z^3")
+    last = RationalFunction(z("z") + z("z", 2).scale(c1))
+    return extend_choice(half, GroupElement(Fraction(1, 6)), last).choice
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["table", "free-lex", "radical"]), _setup_seeds, st.data())
+def test_initial_form_memo_matches_the_expanded_values(kind, seed, data):
+    if kind == "table":
+        setup = random_setup(random.Random(seed), seed % 97)
+        eps, elements = setup.eps, setup.support
+    else:
+        eps = _free_lex_tail_choice(data) if kind == "free-lex" else _radical_chain(data)
+        elements = eps.domain_elements(2)
+    v = eps.valuation
+    for g in elements:
+        assert eps.initial(g) == v.initial_rf(eps(g))
+        assert v.in_eq(eps.initial(g), eps(g))
+        assert eps.initial(g) is eps.initial(g)
+    for a in elements:
+        for b in elements:
+            if not eps.contains(a + b):
+                continue
+            want = v.residue(eps(a), eps(b), over=(eps(a + b),))
+            _assert_same_residue(eps.twisting(a, b), want)
+            h = in_v(v, eps(a) * eps(b))
+            want = v.residue(h.rep, over=(eps(h.degree),))
+            _assert_same_residue(psi(eps, h).coeffs[h.degree], want)
 
 
 # --- rational classes against sympy ---------------------------------------------

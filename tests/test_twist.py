@@ -1,5 +1,7 @@
 """Choice functions, twisting tables, and the twisted semigroup ring."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -326,3 +328,36 @@ class TestProductSafeSupport:
         cands = [GroupElement(k) for k in (1, 2, 10)]
         assert product_safe_support(table, cands) == [GroupElement(10)]
         assert _reference_support(table, cands) == [GroupElement(10)]
+
+
+def _dropped_choices():
+    """Weak references to three choice functions, each dropped after its
+    memos and twisting table were filled."""
+    v = MonomialValuation({"z": Fraction(1, 6)})
+    table = TableChoice(v, {GroupElement(k): RF(f"2*z^{6 * k}") for k in (1, 2)})
+    chain = extend_choice(free_pair(v, [GroupElement(1)], ["64*z^6"]), GroupElement(Fraction(1, 2)), "z^3")
+    refs = []
+    for eps in (table, chain.choice, GeneratorChoice(v, [GroupElement(1)], ["z^6 + z^7"])):
+        eps.twisting(GroupElement(1), GroupElement(1))
+        refs.append(weakref.ref(eps))
+    return refs
+
+
+def test_a_dropped_choice_function_is_freed_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        refs = _dropped_choices()
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_twisting_table_does_not_keep_its_choice_function_alive(v1):
+    eps = TableChoice(v1, {GroupElement(1): RF("2*x"), GroupElement(2): RF("x^2")})
+    zero, one = GroupElement(0), GroupElement(1)
+    table = eps.twist_table
+    hit = eps.twisting(one, one)
+    del eps
+    assert table(one, one) is hit
+    with pytest.raises(ReferenceError):
+        table(zero, one)
