@@ -12,10 +12,17 @@ below reduces exactly to its cocycle identity
     ε̄(α, β)·ε̄(α+β, γ) == ε̄(α, β+γ)·ε̄(β, γ).
 
 The twisting depends only on the initial forms in_v(ε(γ)), so a choice
-function also memoizes, per degree, the quotient of ε(γ)'s initial parts,
-and a :class:`TwistingTable` miss reads those three quotients instead of
-the expanded values.  The table refers to its choice function weakly, so
-a dropped choice function is freed at once, without the cyclic collector.
+function also memoizes, per degree, the quotient of ε(γ)'s initial parts.
+A :class:`GeneratorChoice` value is a power product Π b_j^{n_j(γ)} of its
+bases with integer digits n(γ), so ε(a)ε(b)/ε(a+b) = Π b_j^{d_j} with
+d = n(a) + n(b) - n(a+b), and d = 0 proves the pair exactly multiplicative.
+A :class:`TwistingTable` miss on such a pair is the class 1 and
+:func:`semigroup_hom_check` passes it, with nothing expanded; every other
+pair (a carry in a radical chain, or any pair of a table) is decided as
+before, the twisting from the three memoized initial forms and the hom
+check from the expanded values.  The table refers to its choice function
+weakly, so a dropped choice function is freed at once, without the cyclic
+collector.
 
 A :class:`TwistedRingElement` is a finite formal sum of residue
 coefficients against degree exponents t^γ; :func:`twisted_mul` adds
@@ -28,6 +35,7 @@ import weakref
 from collections import namedtuple
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .errors import DomainError, SetupError
 from .mpoly import RationalFunction, as_rational_function
@@ -63,13 +71,14 @@ class ChoiceFunction:
     """Base for the concrete choice-function kinds.
 
     Subclasses provide ``_evaluate`` (raising :class:`DomainError` outside
-    the domain), ``contains``, ``domain_elements`` and ``domain_size``.
-    Two memos live here, both keyed by degree: ``_values`` holds ε(γ) as
-    evaluated, and ``_initials`` the quotient of its initial parts, which
-    is all that a twisting or a ψ coefficient reads of ε(γ).  The value
-    invariant v(ε(γ)) = γ is the subclasses' responsibility (tables check
-    every entry at load, rule-based kinds validate their witnesses once
-    and are exact by construction).
+    the domain), ``contains``, ``domain_elements`` and ``domain_size``, and
+    may override ``_initial_of`` and ``_product_is_exact``.  Two memos live
+    here, both keyed by degree: ``_values`` holds ε(γ) as evaluated, and
+    ``_initials`` the quotient of its initial parts, which is all that a
+    twisting or a ψ coefficient reads of ε(γ).  The value invariant
+    v(ε(γ)) = γ is the subclasses' responsibility (tables check every entry
+    at load, rule-based kinds validate their witnesses once and are exact
+    by construction).
     """
 
     def __init__(self, valuation: MonomialValuation):
@@ -90,11 +99,22 @@ class ChoiceFunction:
         the shape :meth:`MonomialValuation.initial_rf` gives, computed once."""
         cached = self._initials.get(gamma)
         if cached is None:
-            cached = self._initials[gamma] = self.valuation.initial_rf(self(gamma))
+            cached = self._initials[gamma] = self._initial_of(gamma)
         return cached
 
     def _evaluate(self, gamma: GroupElement) -> RationalFunction:
         raise NotImplementedError
+
+    def _initial_of(self, gamma: GroupElement) -> RationalFunction:
+        return self.valuation.initial_rf(self(gamma))
+
+    def _product_is_exact(self, a: GroupElement, b: GroupElement) -> bool:
+        """True when ε(a)·ε(b) == ε(a+b) is proved without expanding either side.
+
+        False proves nothing: the caller then decides the pair on the
+        initial forms or the expanded values.
+        """
+        return False
 
     def contains(self, gamma: GroupElement) -> bool:
         raise NotImplementedError
@@ -191,6 +211,16 @@ def _subgroup_elements(generators, bound: int) -> list[GroupElement]:
     return sorted(out)
 
 
+def _power_product(bases, digits) -> RationalFunction:
+    """Π b_j^{n_j} over the bases and their integer digits."""
+    out = RationalFunction(1)
+    for n, b in zip(digits, bases):
+        if n:
+            # a digit of ±1 skips the vector-form round trip of a power
+            out = out * (b if n == 1 else b.inv() if n == -1 else b**n)
+    return out
+
+
 class ExtensionStep(namedtuple(
         "ExtensionStep", "gamma x_gamma n0 x0 root_class root_witness factor carry")):
     """One radical step of a :class:`GeneratorChoice` chain.
@@ -215,16 +245,20 @@ class GeneratorChoice(ChoiceFunction):
     and ε(ψ) = Π w_j^{m_j} · Π f_i^{n_i}.  The digits come from one
     decomposition of ψ: from the last step down, n_i = r_i mod n0_i and the
     carry (r_i - n_i)/n0_i re-enters the earlier coordinates through the
-    step's witness of n0_i·γ_i.  A carry trades ε(n0_i·γ_i) for f_i^{n0_i},
-    where f_i = a_i·x_i, x_i is the step's witness and a_i an n0_i-th root
-    of the residue class of ε(n0_i·γ_i)/x_i^{n0_i}.  The two differ by a
-    factor of residue 1, so the twisting is identically 1, but ε is
-    multiplicative only up to residue: exactly so when every
-    ε(n0_i·γ_i)/x_i^{n0_i} equals a_i^{n0_i} itself, as the constants 64
-    and 8 of the chain_radical setup do.  The constructor builds a free
-    choice, a chain of no steps; :meth:`extended` adds a step whose root
-    ``constructions.extend_choice`` found.  Its :class:`RootNotFound` is a
-    disproof for a rational obstruction class only, else "no root found".
+    step's witness of n0_i·γ_i.  They are memoized per degree and read by
+    membership, evaluation, the initial form (the same power product of
+    the bases' initial forms, each computed once) and the exactness test
+    of a pair, whose digits cancel unless a carry separates them.  A carry
+    trades ε(n0_i·γ_i) for f_i^{n0_i}, where f_i = a_i·x_i, x_i is the
+    step's witness and a_i an n0_i-th root of the residue class of
+    ε(n0_i·γ_i)/x_i^{n0_i}.  The two differ by a factor of residue 1, so
+    the twisting is identically 1, but ε is multiplicative only up to
+    residue: exactly so when every ε(n0_i·γ_i)/x_i^{n0_i} equals
+    a_i^{n0_i} itself, as the constants 64 and 8 of the chain_radical
+    setup do.  The constructor builds a free choice, a chain of no steps;
+    :meth:`extended` adds a step whose root ``constructions.extend_choice``
+    found.  Its :class:`RootNotFound` is a disproof for a rational
+    obstruction class only, else "no root found".
     """
 
     def __init__(self, valuation: MonomialValuation, generators, witnesses):
@@ -242,17 +276,20 @@ class GeneratorChoice(ChoiceFunction):
             _check_witness(valuation, w, g)
         self.generators = tuple(gens)
         self.witnesses = self._bases = tuple(wits)
+        self._base_initials: tuple | None = None
+        self._digits: dict[GroupElement, tuple] = {}
         self.steps = ()
 
     def extended(self, step: ExtensionStep) -> "GeneratorChoice":
         """This chain, left unchanged, plus one step: the checked generators and
-        witnesses are shared, the subgroup gains step.gamma, and the memo is fresh."""
+        witnesses are shared, the subgroup gains step.gamma, and the memos are fresh."""
         out = object.__new__(GeneratorChoice)
         ChoiceFunction.__init__(out, self.valuation)
         out.generators, out.witnesses = self.generators, self.witnesses
         out.steps = self.steps + (step,)
         out.subgroup = FgSubgroup(self.subgroup.dim, self.subgroup.generators + (step.gamma,))
         out._bases = self._bases + (step.factor,)
+        out._base_initials, out._digits = None, {}
         return out
 
     @property
@@ -260,27 +297,49 @@ class GeneratorChoice(ChoiceFunction):
         """The last radical step, or None for a free choice."""
         return self.steps[-1] if self.steps else None
 
-    def _evaluate(self, gamma: GroupElement) -> RationalFunction:
-        coeffs = self.subgroup.decompose(gamma)
-        if coeffs is None:
+    def _decompose(self, gamma: GroupElement) -> tuple | None:
+        """The digit vector n(γ), memoized, or None outside the subgroup."""
+        digits = self._digits.get(gamma)
+        if digits is None:
+            coeffs = self.subgroup.decompose(gamma)
+            if coeffs is None:
+                return None
+            k = len(self.generators)
+            for i in reversed(range(len(self.steps))):
+                step = self.steps[i]
+                if step.n0 is not None:
+                    carry, coeffs[k + i] = divmod(coeffs[k + i], step.n0)
+                    for j, c in enumerate(step.carry):
+                        coeffs[j] += carry * c
+            digits = self._digits[gamma] = tuple(coeffs)
+        return digits
+
+    def _digits_of(self, gamma: GroupElement) -> tuple:
+        digits = self._decompose(gamma)
+        if digits is None:
             raise DomainError(f"degree {gamma} is outside the subgroup")
-        k = len(self.generators)
-        for i in reversed(range(len(self.steps))):
-            step = self.steps[i]
-            if step.n0 is not None:
-                carry, coeffs[k + i] = divmod(coeffs[k + i], step.n0)
-                for j, c in enumerate(step.carry):
-                    coeffs[j] += carry * c
-        out = RationalFunction(1)
-        for n, b in zip(coeffs, self._bases):
-            if n:
-                # a digit of ±1 skips the vector-form round trip of a power
-                out = out * (b if n == 1 else b.inv() if n == -1 else b**n)
-        return out
+        return digits
+
+    def _evaluate(self, gamma: GroupElement) -> RationalFunction:
+        return _power_product(self._bases, self._digits_of(gamma))
+
+    def _initial_of(self, gamma: GroupElement) -> RationalFunction:
+        # initial forms multiply, so in_v(ε(γ)) is the same power product of
+        # the in_v(b_j); those are found on first use, as a chain that is only
+        # extended never reads them
+        if self._base_initials is None:
+            self._base_initials = tuple(map(self.valuation.initial_rf, self._bases))
+        return _power_product(self._base_initials, self._digits_of(gamma))
+
+    def _product_is_exact(self, a: GroupElement, b: GroupElement) -> bool:
+        # ε(a)ε(b)/ε(a+b) = Π b_j^{d_j} with d = n(a) + n(b) - n(a+b)
+        na, nb, ns = self._decompose(a), self._decompose(b), self._decompose(a + b)
+        if na is None or nb is None or ns is None:
+            return False
+        return tuple(map(add, na, nb)) == ns
 
     def contains(self, gamma: GroupElement) -> bool:
-        # an evaluated degree was decomposed once already
-        return gamma in self._values or self.subgroup.contains(gamma)
+        return self._decompose(gamma) is not None
 
     def domain_elements(self, bound: int) -> list[GroupElement]:
         return _subgroup_elements(self.subgroup.generators, bound)
@@ -295,9 +354,12 @@ class TwistingTable:
     """Lazily computed map (γ, γ') -> ε̄(γ, γ').
 
     Entries are stored under the sorted key, so symmetry is structural.
-    A miss hands the memoized initial forms ``eps.initial`` of γ, γ' and
-    γ+γ' to :meth:`MonomialValuation.residue` as factors.  The residue
-    reads only the factors' initial parts, so the class is that of
+    A miss on a pair that the choice function proves exactly multiplicative
+    (``_product_is_exact``: digits d = 0 for a generator choice) is the
+    class 1.  Any other miss (d != 0, or a table) hands the memoized
+    initial forms ``eps.initial`` of γ, γ' and γ+γ' to
+    :meth:`MonomialValuation.residue` as factors.  The residue reads only
+    the factors' initial parts, so the class is that of
     ε(γ)ε(γ')/ε(γ+γ'), while a value with many terms is never multiplied
     out; the quotient itself is never formed either.
     Values are residues of value-zero elements and therefore never the
@@ -319,8 +381,11 @@ class TwistingTable:
             eps = self._choice()
             if eps is None:
                 raise ReferenceError("the twisting table's choice function no longer exists")
-            initial = eps.initial
-            hit = eps.valuation.residue(initial(g1), initial(g2), over=(initial(g1 + g2),))
+            if eps._product_is_exact(g1, g2):
+                hit = eps.valuation.residue_one()
+            else:
+                initial = eps.initial
+                hit = eps.valuation.residue(initial(g1), initial(g2), over=(initial(g1 + g2),))
             self._cache[key] = hit
         return hit
 
@@ -447,15 +512,18 @@ def is_trivial(eps: ChoiceFunction, bound: int):
 def semigroup_hom_check(eps: ChoiceFunction, bound: int) -> bool:
     """Whether ε(α)ε(β) and ε(α+β) agree in initial form on all bounded pairs.
 
-    Must always agree with :func:`is_trivial`; the two sides are computed
-    along independent code paths (initial-form equality of products of the
-    expanded values here, residue classes of the memoized initial forms
-    there).  Like
-    :func:`is_trivial` it walks the pairs lazily and stops at the first
-    failure.
+    Must always agree with :func:`is_trivial`.  A pair that the choice
+    function proves exactly multiplicative (digits d = 0 for a generator
+    choice) holds with nothing expanded, as its twisting is 1.  Every other
+    pair (d != 0, or a table) is decided along a path independent of the
+    twisting's: initial-form equality of the product of the expanded
+    values here, the residue class of the memoized initial forms there.
+    Like :func:`is_trivial` it walks the pairs lazily and stops at the
+    first failure.
     """
     v = eps.valuation
+    exact = eps._product_is_exact
     for a, b in eps.iter_domain_pairs(bound):
-        if not v.in_eq(eps(a) * eps(b), eps(a + b)):
+        if not (exact(a, b) or v.in_eq(eps(a) * eps(b), eps(a + b))):
             return False
     return True

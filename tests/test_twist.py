@@ -361,3 +361,74 @@ def test_a_twisting_table_does_not_keep_its_choice_function_alive(v1):
     assert table(one, one) is hit
     with pytest.raises(ReferenceError):
         table(zero, one)
+
+
+# --- digit vectors against the expanded values -----------------------------------
+#
+# A generator choice decides a twisting or a hom-check pair on its digit
+# vectors when n(a) + n(b) == n(a + b), and falls back to the initial forms
+# or the expanded values when a carry separates them.  The oracle is the
+# expanded values themselves, on every pair of a window.
+
+_coeffs = st.one_of(
+    st.integers(-4, -1),
+    st.integers(1, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+
+
+def _digit_path_choice(kind, data):
+    """A free lex choice whose witnesses carry tails, one with a denominator
+    that is not a monomial; a lex chain whose step (0, 1) returns at (0, 2);
+    or the radical chain 1, 1/2, 1/6 over v(z) = 1/6 and ε(1) = 64*z^6 + c*z^7."""
+    c = [data.draw(_coeffs) for _ in range(5)]
+    var = Polynomial.variable
+    if kind == "radical":
+        v = MonomialValuation({"z": Fraction(1, 6)})
+        witness = RationalFunction(var("z", 6).scale(64) + var("z", 7).scale(c[0]))
+        base = free_pair(v, [GroupElement(1)], [witness])
+        half = extend_choice(base, GroupElement(Fraction(1, 2)), "z^3")
+        last = RationalFunction(var("z") + var("z", 2).scale(c[1]))
+        return extend_choice(half, GroupElement(Fraction(1, 6)), last).choice
+    v = MonomialValuation({"x": (1, 0), "y": (0, 1)})
+    x, y = var("x"), var("y")
+    wx = RationalFunction(x.scale(c[0]) + (x * y).scale(c[1]))
+    if kind == "free":
+        wy = RationalFunction((y * y).scale(c[2]) + x.scale(c[3]), y + x.scale(c[4]))
+        return GeneratorChoice(v, [GroupElement((1, 0)), GroupElement((0, 1))], [wx, wy])
+    # ε((0, 2))/y^2 has the class c2^2, whose square root the step takes
+    wy2 = RationalFunction((y * y).scale(c[2] * c[2]) + x.scale(c[3]), 1 + x.scale(c[4]))
+    base = free_pair(v, [GroupElement((1, 0)), GroupElement((0, 2))], [wx, wy2])
+    step = RationalFunction(y + (x * y).scale(c[1]))
+    return extend_choice(base, GroupElement((0, 1)), step).choice
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["free", "lex-step", "radical"]), st.data())
+def test_digit_vectors_decide_pairs_as_the_expanded_values_do(kind, data):
+    eps = _digit_path_choice(kind, data)
+    v = eps.valuation
+    window = eps.domain_elements(2)
+    for g in window:
+        digits = eps._decompose(g)
+        assert eps.subgroup.recombine(digits) == g
+        k = len(eps.generators)
+        for i, step in enumerate(eps.steps):
+            assert step.n0 is None or 0 <= digits[k + i] < step.n0
+        assert eps.initial(g) == v.initial_rf(eps(g))
+    fallbacks = 0
+    verdicts = []
+    for a, b in eps.iter_domain_pairs(4):
+        exact = eps._product_is_exact(a, b)
+        fallbacks += not exact
+        if exact:
+            assert eps(a) * eps(b) == eps(a + b)
+        held = v.in_eq(eps(a) * eps(b), eps(a + b))
+        assert exact <= held
+        verdicts.append(held)
+        want = v.residue(eps(a), eps(b), over=(eps(a + b),))
+        got = eps.twisting(a, b)
+        assert got == want
+        assert str(got.rep()) == str(want.rep())
+    assert semigroup_hom_check(eps, 4) == all(verdicts)
+    assert (fallbacks > 0) == (kind != "free")
