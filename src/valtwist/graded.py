@@ -17,12 +17,20 @@ multiplicative because the twisting absorbs exactly the failure of ε to be
 multiplicative.  Its inverse needs one extra ingredient, a lifting oracle
 producing a value-0 field element in a prescribed residue class; with a
 lift z' of the coefficient a, the term a·t^γ pulls back to in_v(ε(γ)·z').
+
+The forward map is the hot path of the ψ checks, so two cases skip work.
+The initial form of a polynomial comes from one scan of its terms, with no
+quotient normalized.  A ψ coefficient whose two quotients are one term each
+over the same monomials is decided on those monomial keys, as a quotient
+of coefficients; every other coefficient falls back to the general
+residue.  The inverse map takes neither shortcut: it expands ε(γ), so a
+round trip checks the memoized initial forms independently.
 """
 
 from __future__ import annotations
 
 from .errors import DegreeMismatchError, DomainError, LiftingError
-from .mpoly import RationalFunction, as_rational_function
+from .mpoly import Polynomial, RationalFunction, as_rational_function
 from .ordgroup import GroupElement
 from .twist import ChoiceFunction, TwistedRingElement
 from .valuation import MonomialValuation, ResidueElement
@@ -46,17 +54,24 @@ class HomogeneousElement:
     The representative is canonicalized to a quotient of initial parts, so
     distinct representatives of one form share their cross products.  Each
     polynomial of the given representative is scanned once, by the pass
-    that finds its initial part; both parts of that quotient are homogeneous,
-    so the degree is read off one term of each.
+    that finds its initial part.  For a polynomial that pass also gives the
+    degree; for a quotient both parts of the result are homogeneous, so the
+    degree is read off one term of each.
     """
 
     __slots__ = ("valuation", "degree", "rep")
 
     def __init__(self, valuation: MonomialValuation, rep):
+        self.valuation = valuation
+        if isinstance(rep, Polynomial) and rep.terms:
+            # the pass that finds the initial part also finds its value
+            part, vec = valuation._initial(rep)
+            self.rep = RationalFunction(part)
+            self.degree = valuation._degree(vec)
+            return
         rep = as_rational_function(rep)
         if rep.is_zero():
             raise ValueError("use the distinguished zero for vanishing components")
-        self.valuation = valuation
         self.rep = valuation.initial_rf(rep)
         self.degree = valuation.homogeneous_value(self.rep)
 
@@ -223,9 +238,24 @@ def psi(eps: ChoiceFunction, x) -> TwistedRingElement:
     :meth:`MonomialValuation.residue` from x's canonical quotient and the
     choice function's memoized initial form ``eps.initial(γ)`` as factors.
     It reads only initial parts, so the class is that of x/ε(γ), while the
-    expanded ε(γ) is never multiplied; the quotient is never formed.
+    expanded ε(γ) is never multiplied; the quotient is never formed.  When
+    both are one-term quotients over the same monomials, the class is the
+    quotient of their coefficients, decided on monomial keys; otherwise
+    ``residue`` falls back to its exponent sums and initial products.  A
+    homogeneous component is tested first, and its valuation by identity
+    before equality.
     """
     v = eps.valuation
+    if isinstance(x, HomogeneousElement):
+        if x.valuation is not v and x.valuation != v:
+            raise ValueError("component and choice function use different valuations")
+        gamma = x.degree
+        if not eps.contains(gamma):
+            raise DomainError(f"degree {gamma} is outside the choice function's domain")
+        # the class of a nonzero value-0 quotient is never zero: no coefficient check
+        out = TwistedRingElement(v)
+        out.coeffs[gamma] = v.residue(x.rep, over=(eps.initial(gamma),))
+        return out
     if isinstance(x, _ZeroHomogeneous):
         return TwistedRingElement.zero(v)
     if isinstance(x, GradedElement):
@@ -233,14 +263,7 @@ def psi(eps: ChoiceFunction, x) -> TwistedRingElement:
         for d in x.support():
             out = out + psi(eps, x.components[d])
         return out
-    if not isinstance(x, HomogeneousElement):
-        raise TypeError(f"cannot apply psi to {type(x).__name__}")
-    if x.valuation != v:
-        raise ValueError("component and choice function use different valuations")
-    if not eps.contains(x.degree):
-        raise DomainError(f"degree {x.degree} is outside the choice function's domain")
-    coeff = v.residue(x.rep, over=(eps.initial(x.degree),))
-    return TwistedRingElement.term(v, x.degree, coeff)
+    raise TypeError(f"cannot apply psi to {type(x).__name__}")
 
 
 def constant_lift(coeff: ResidueElement) -> RationalFunction:

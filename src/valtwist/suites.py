@@ -311,14 +311,15 @@ def cocycle_suite(setup: ChoiceSetup, rng: random.Random, triples: int) -> Suite
     pool = setup.support
     for t in range(triples):
         a, b, c = (rng.choice(pool) for _ in range(3))
+        # each sum is formed once, and only when the sums before it are in the domain
         if not (
-            eps.contains(a + b)
-            and eps.contains(b + c)
-            and eps.contains(a + b + c)
+            eps.contains(ab := a + b)
+            and eps.contains(bc := b + c)
+            and eps.contains(ab + c)
         ):
             continue
-        lhs = eps.twisting(a, b) * eps.twisting(a + b, c)
-        rhs = eps.twisting(a, b + c) * eps.twisting(b, c)
+        lhs = eps.twisting(a, b) * eps.twisting(ab, c)
+        rhs = eps.twisting(a, bc) * eps.twisting(b, c)
         result.cases += 1
         if lhs != rhs:
             result.failures.append(f"trial {t}: cocycle identity failed at {a}, {b}, {c}")
@@ -347,30 +348,36 @@ def triviality_agreement_suite(setup: ChoiceSetup, bound: int) -> SuiteResult:
     return result
 
 
-def _random_polynomial_for(setup: ChoiceSetup, rng: random.Random, max_exp: int = 3):
+def _random_polynomial_for(setup: ChoiceSetup, rng: random.Random, monomials: dict,
+                           max_exp: int = 3):
+    """A random polynomial of value inside the choice domain.
+
+    ``monomials`` maps exponent tuples over the sorted variables to their
+    monomials; one map serves one :func:`psi_suites` call, so each monomial
+    is built once.  The pool's coefficients are nonzero and the terms'
+    monomials distinct, so the polynomial is built as drawn.
+    """
     names = sorted(setup.valuation.weights)
     for _ in range(50):
-        nterms = rng.randint(1, 3)
         terms = {}
-        for _ in range(nterms):
-            pairs = [(n, rng.randint(0, max_exp)) for n in names]
-            mono = Monomial(pairs)
+        for _ in range(rng.randint(1, 3)):
+            key = tuple([rng.randint(0, max_exp) for _ in names])
+            mono = monomials.get(key)
+            if mono is None:
+                mono = monomials[key] = Monomial(zip(names, key))
             terms[mono] = rng.choice(_CONST_POOL)
-        p = Polynomial(terms)
-        if p.is_zero():
-            continue
+        p = Polynomial._raw(terms)
         if setup.eps.contains(setup.valuation.polynomial_value(p)):
             return p
     raise RuntimeError("could not sample a polynomial inside the choice domain")
 
 
-def _positive_tail(setup: ChoiceSetup, rng: random.Random, x: Polynomial):
-    """A polynomial of value strictly above v(x), or None."""
-    v = setup.valuation
-    for name in sorted(v.weights):
-        if v.weights[name] > v.group_zero:
-            return x * Polynomial.variable(name, rng.randint(1, 2))
-    return None
+def _positive_tail(rng: random.Random, x: Polynomial, name: str | None):
+    """x times a power of the variable ``name`` of positive weight: a polynomial
+    of value strictly above v(x); None when no variable has positive weight."""
+    if name is None:
+        return None
+    return x * Polynomial.variable(name, rng.randint(1, 2))
 
 
 def psi_suites(setup: ChoiceSetup, rng: random.Random, pairs: int) -> list[SuiteResult]:
@@ -389,17 +396,19 @@ def psi_suites(setup: ChoiceSetup, rng: random.Random, pairs: int) -> list[Suite
     mul = SuiteResult(name=f"psi-multiplicative[{setup.name}]", cases=0)
     deg = SuiteResult(name=f"psi-degree[{setup.name}]", cases=0)
     cancelled = 0
+    monomials: dict = {}
+    positive = next((n for n in sorted(v.weights) if v.weights[n] > v.group_zero), None)
 
     for t in range(pairs):
-        x = _random_polynomial_for(setup, rng)
+        x = _random_polynomial_for(setup, rng, monomials)
         flavor = t % 4
         if flavor == 0:
             y = x.scale(rng.choice([c for c in _CONST_POOL if c != 1]))
         elif flavor == 1:
-            tail = _positive_tail(setup, rng, x)
+            tail = _positive_tail(rng, x, positive)
             y = x + tail if tail is not None else x
         elif flavor == 2:
-            y = _random_polynomial_for(setup, rng)
+            y = _random_polynomial_for(setup, rng, monomials)
         else:
             y = x
         if v.polynomial_value(y) != v.polynomial_value(x):
@@ -414,7 +423,7 @@ def psi_suites(setup: ChoiceSetup, rng: random.Random, pairs: int) -> list[Suite
         # additivity at equal degrees, forcing the cancelling branch on half the trials
         if flavor % 2 == 0:
             z = -x
-            tail = _positive_tail(setup, rng, x)
+            tail = _positive_tail(rng, x, positive)
             if tail is not None and rng.random() < 0.7:
                 z = z + tail
         else:
@@ -427,7 +436,7 @@ def psi_suites(setup: ChoiceSetup, rng: random.Random, pairs: int) -> list[Suite
         if psi(eps, s) != px + psi(eps, hz):
             add.failures.append(f"trial {t}: additivity failed")
 
-        w = _random_polynomial_for(setup, rng, max_exp=2)
+        w = _random_polynomial_for(setup, rng, monomials, max_exp=2)
         hw = in_v(v, w)
         if eps.contains(hx.degree + hw.degree):
             mul.cases += 1
@@ -449,7 +458,7 @@ def psi_suites(setup: ChoiceSetup, rng: random.Random, pairs: int) -> list[Suite
         rt.skipped = "no lifting oracle for this residue field"
     else:
         for t in range(max(1, pairs // 2)):
-            x = _random_polynomial_for(setup, rng)
+            x = _random_polynomial_for(setup, rng, monomials)
             hx = in_v(v, x)
             rt.cases += 1
             try:

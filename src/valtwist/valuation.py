@@ -213,9 +213,23 @@ class MonomialValuation:
         factors' initial parts, normalized once.  When every factor is a
         one-term quotient and their monomials cancel, the class is the
         quotient of their coefficients, and no polynomial is multiplied.
+        For one factor over one factor (a ψ coefficient) that case is
+        decided on monomial keys first: equal numerator monomials and equal
+        denominator monomials have equal values, so the class is
+        c_f·d_g / (d_f·c_g) with no value check; any other pair falls back
+        to the exponent sums and then to the initial parts.
         """
-        factors = [as_rational_function(f)] + [as_rational_function(g) for g in more]
+        f = as_rational_function(f)
         over = [as_rational_function(g) for g in over]
+        if not more and len(over) == 1:
+            (g,) = over
+            fn, fd, gn, gd = f.num.terms, f.den.terms, g.num.terms, g.den.terms
+            if len(fn) == len(fd) == len(gn) == len(gd) == 1:
+                ((mf, cf),), ((nf, df),) = fn.items(), fd.items()
+                ((mg, cg),), ((ng, dg),) = gn.items(), gd.items()
+                if mf == mg and nf == ng:
+                    return ResidueElement._constant(self, _div(cf * dg, df * cg))
+        factors = [f] + [as_rational_function(g) for g in more]
         const = _cancelled_coefficients(factors, over)
         if const is not None:
             return ResidueElement._constant(self, const)

@@ -276,6 +276,58 @@ def test_residue_constant_lane_matches_the_general_path(f, g, c, leftover):
     assert str(got) == str(want) and got.const == want.const
 
 
+# One factor over one factor, the shape of a ψ coefficient, is decided on
+# monomial keys.  The x, y, z side of _vkeys has a kernel (v(x) = v(y) = 1,
+# v(z) = 2); u and w sit on the other side, so the two sides never cancel.
+_vkeys = MonomialValuation({"x": 1, "y": 1, "z": 2, "u": 1, "w": Fraction(1, 2)})
+_uw_monos = st.dictionaries(
+    st.sampled_from(["u", "w"]), st.integers(1, 2), max_size=2
+).map(lambda d: Monomial(tuple(d.items())))
+# a factor that both parts carry before normalization cancels
+_shared_monos = st.dictionaries(
+    st.sampled_from(["x", "y", "z", "u", "w"]), st.integers(1, 2), max_size=3
+).map(lambda d: Monomial(tuple(d.items())))
+# (p, q): equal monomials, distinct ones of equal value, or unequal values
+_key_pairs = st.sampled_from([
+    ("1", "1"), ("x", "x"), ("z", "z"), ("x", "y"), ("x^2", "z"), ("z", "y^2"),
+    ("x*y", "z"), ("x^2", "y^2"), ("x", "z"), ("1", "y"),
+])
+
+
+def _mono(text):
+    (m,) = P(text).terms
+    return m
+
+
+def _one_term_quotient(top, top_c, bottom, bottom_c, flip):
+    top, bottom = Polynomial.term(top, top_c), Polynomial.term(bottom, bottom_c)
+    return RationalFunction(bottom, top) if flip else RationalFunction(top, bottom)
+
+
+@given(_uw_monos, _xyz_monos, _key_pairs, _shared_monos, _shared_monos,
+       st.lists(_rational_coeffs, min_size=4, max_size=4), st.booleans())
+def test_one_term_residue_by_monomial_keys_matches_the_general_path(m, base, pq, k, l, cs, flip):
+    # f = m/(base·p) and g = m/(base·q), each before cancelling k or l; with
+    # flip, the parts swap, so the numerator keys differ instead
+    p, q = _mono(pq[0]), _mono(pq[1])
+    f = _one_term_quotient(m.mul(k), cs[0], base.mul(p).mul(k), cs[1], flip)
+    g = _one_term_quotient(m.mul(l), cs[2], base.mul(q).mul(l), cs[3], flip)
+    if _vkeys.value(f) != _vkeys.value(g):
+        diff = _vkeys.value(f / g)
+        with pytest.raises(ValueError, match=f"^residue needs a value-zero element, got value {diff}$"):
+            _vkeys.residue(f, over=(g,))
+        return
+    num, _ = _vkeys._initial_product([f.num, g.den])
+    den, _ = _vkeys._initial_product([f.den, g.num])
+    want = ResidueElement._make(_vkeys, RationalFunction(num, den))
+    got = _vkeys.residue(f, over=(g,))
+    assert (got.const is not None) == (p == q) == (want.const is not None)
+    assert got.const == want.const and type(got.const) is type(want.const)
+    assert got == want and str(got) == str(want)
+    assert _terms(got.rep().num) == _terms(want.rep().num)
+    assert _terms(got.rep().den) == _terms(want.rep().den)
+
+
 _constant_classes = st.builds(
     lambda f, c: _vxyz.residue(f, over=(f * c,)),
     _one_term,
