@@ -54,26 +54,18 @@ class HomogeneousElement:
     The representative is canonicalized to a quotient of initial parts, so
     distinct representatives of one form share their cross products.  Each
     polynomial of the given representative is scanned once, by the pass
-    that finds its initial part.  For a polynomial that pass also gives the
-    degree; for a quotient both parts of the result are homogeneous, so the
-    degree is read off one term of each.
+    that finds its initial part and its value.
     """
 
     __slots__ = ("valuation", "degree", "rep")
 
     def __init__(self, valuation: MonomialValuation, rep):
         self.valuation = valuation
-        if isinstance(rep, Polynomial) and rep.terms:
-            # the pass that finds the initial part also finds its value
-            part, vec = valuation._initial(rep)
-            self.rep = RationalFunction(part)
-            self.degree = valuation._degree(vec)
-            return
-        rep = as_rational_function(rep)
+        if not isinstance(rep, Polynomial):
+            rep = as_rational_function(rep)
         if rep.is_zero():
             raise ValueError("use the distinguished zero for vanishing components")
-        self.rep = valuation.initial_rf(rep)
-        self.degree = valuation.homogeneous_value(self.rep)
+        self.rep, self.degree = valuation.initial_form(rep)
 
     def is_zero(self) -> bool:
         return False

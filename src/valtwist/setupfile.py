@@ -14,12 +14,12 @@ brace blocks of quoted pairs.
 
 Sections: ``[valuation]`` (variable weights), ``[ring]`` (optional
 ``lifting = constants``), ``[campaign]`` (``seed``, ``bound >= 0``,
-``1 <= samples <= SAMPLE_LIMIT``), any number of ``[choice NAME]`` with a
-``table { }`` or ``generators { }`` block, ``[build]`` (``mode = free``
-with ``choice = NAME``, or ``mode = extend`` with ``base = NAME`` and a
-``steps { }`` block applied in file order), and ``[analyzer]``
-(``primes``, then an optional ``degree_bound`` or a ``candidates { }``
-block, not both).
+``1 <= samples <= SAMPLE_LIMIT``), any number of ``[choice NAME]`` (NAME
+without ``"``) with a ``table { }`` or ``generators { }`` block,
+``[build]`` (``mode = free`` with ``choice = NAME``, or ``mode = extend``
+with ``base = NAME`` and a ``steps { }`` block applied in file order), and
+``[analyzer]`` (``primes``, then an optional ``degree_bound`` or a
+``candidates { }`` block, not both).
 
 ``load_setup`` interprets a setup text and rejects with
 :class:`SetupError` anything malformed — in particular a tabulated value
@@ -320,6 +320,9 @@ def load_setup(text: str) -> SetupFile:
         name = section.name.split(None, 1)[1]
         if name in choices:
             raise SetupError(f"line {section.line}: repeated choice name {name!r}")
+        if '"' in name:
+            # the name reaches --machine values, which are quoted but never escaped
+            raise SetupError(f"line {section.line}: choice name {name!r} holds a '\"'")
         kinds = [k for k in ("table", "generators") if section.block(k) is not None]
         if len(kinds) != 1:
             raise SetupError(

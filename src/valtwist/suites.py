@@ -52,34 +52,35 @@ def product_safe_support(eps: ChoiceFunction, candidates) -> list[GroupElement]:
     Campaign operands are built from these degrees, and products of up to
     three operands must remain where eps is defined.  Rule-based choices
     are defined on a whole group, so the list survives unchanged; finite
-    tables lose their upper reaches.  Each round drops the largest member
-    of the first sum a + b, or a + b + c, that leaves the domain, scanning
-    a, b, c in sorted order (each pair before its triples), so the result
-    is deterministic; that member need not be the largest offending degree.
+    tables lose their upper reaches.  One pass scans a, b, c in sorted
+    order, each pair a + b before its triples a + b + c, skips every sum
+    that holds a dropped degree, and drops the largest member of each sum
+    that leaves the domain (not the largest offending degree overall).  The
+    domain never changes, so a drop only removes sums and never fails one
+    that passed: the pass returns what a scan restarted after each drop
+    would, in the same order.
     """
     safe = sorted(set(candidates))
     if isinstance(eps, GeneratorChoice) and all(eps.contains(g) for g in safe):
         # the domain is a subgroup, closed under +: no sum can leave it
         return safe
-    while safe:
-        bad = None
-        for a in safe:
-            for b in safe:
-                if not eps.contains(a + b):
-                    bad = max(a, b)
-                    break
-                for c in safe:
-                    if not eps.contains(a + b + c):
-                        bad = max(a, b, c)
-                        break
-                if bad is not None:
-                    break
-            if bad is not None:
+    dropped = set()
+    for a in safe:
+        for b in safe:
+            if a in dropped:
                 break
-        if bad is None:
-            return safe
-        safe = [g for g in safe if g != bad]
-    return safe
+            if b in dropped:
+                continue
+            ab = a + b
+            if not eps.contains(ab):
+                dropped.add(max(a, b))
+                continue
+            for c in safe:
+                if c not in dropped and not eps.contains(ab + c):
+                    dropped.add(max(a, b, c))
+                    if a in dropped or b in dropped:
+                        break
+    return [g for g in safe if g not in dropped]
 
 
 class SuiteResult:
@@ -279,20 +280,14 @@ def ring_axiom_suite(setup: ChoiceSetup, rng: random.Random, trials: int) -> Sui
         a = _random_twisted_element(rng, setup)
         b = _random_twisted_element(rng, setup)
         c = _random_twisted_element(rng, setup, max_terms=2)
+        ab = twisted_mul(eps, a, b)
         checks = [
-            ("commutativity", twisted_mul(eps, a, b) == twisted_mul(eps, b, a)),
+            ("commutativity", ab == twisted_mul(eps, b, a)),
             ("left unit", twisted_mul(eps, one, a) == a),
             ("right unit", twisted_mul(eps, a, one) == a),
-            (
-                "associativity",
-                twisted_mul(eps, twisted_mul(eps, a, b), c)
-                == twisted_mul(eps, a, twisted_mul(eps, b, c)),
-            ),
-            (
-                "distributivity",
-                twisted_mul(eps, a, b + c)
-                == twisted_mul(eps, a, b) + twisted_mul(eps, a, c),
-            ),
+            ("associativity",
+             twisted_mul(eps, ab, c) == twisted_mul(eps, a, twisted_mul(eps, b, c))),
+            ("distributivity", twisted_mul(eps, a, b + c) == ab + twisted_mul(eps, a, c)),
             ("additive inverse", (a + (-a)).is_zero()),
         ]
         for label, ok in checks:

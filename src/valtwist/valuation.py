@@ -140,10 +140,18 @@ class MonomialValuation:
     def value(self, f) -> GroupElement:
         return self._degree(self._rf_lattice(as_rational_function(f)))
 
-    def homogeneous_value(self, f: RationalFunction) -> GroupElement:
-        """v(f) read off one term of each part; both parts of f must be homogeneous."""
-        num, den = next(iter(f.num.terms)), next(iter(f.den.terms))
-        return self._degree(tuple(map(sub, self._lattice(num), self._lattice(den))))
+    def initial_form(self, f) -> tuple[RationalFunction, GroupElement]:
+        """The quotient of f's initial parts and v(f), from one scan of each part.
+
+        A polynomial is scanned once, as the numerator over 1.
+        """
+        if isinstance(f, Polynomial):
+            part, vec = self._initial(f)
+            return RationalFunction(part), self._degree(vec)
+        f = as_rational_function(f)
+        num, num_vec = self._initial(f.num)
+        den, den_vec = self._initial(f.den)
+        return RationalFunction(num, den), self._degree(tuple(map(sub, num_vec, den_vec)))
 
     def _initial(self, p: Polynomial) -> tuple[Polynomial, tuple]:
         """p's initial part and its value in the lattice, from one pass over the terms.

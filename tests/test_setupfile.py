@@ -251,6 +251,13 @@ class TestOnlyWhatIsRead:
             load_setup(base + text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("name", ['a"b c', '"t"', 'x"'])
+    def test_choice_name_with_a_double_quote_is_refused(self, name):
+        text = f'[valuation]\nx = 1\n\n[choice t]\ntable {{\n"1" = "x"\n}}\n\n[choice {name}]\n'
+        with pytest.raises(SetupError) as exc:
+            load_setup(text + 'table {\n"1" = "x"\n}\n')
+        assert str(exc.value) == f"line 9: choice name {name!r} holds a '\"'"
+
     def test_absent_degree_bound_is_left_to_the_analyzer(self):
         assert load_setup("[analyzer]\nprimes = 2\n").analyzer.degree_bound is None
 
